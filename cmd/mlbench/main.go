@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -199,14 +200,9 @@ func readSpecFile(path string) ([]byte, error) {
 // every figure that ran into one export (each cell is its own trace
 // process).
 func executeRuns(specs []core.RunSpec, agree float64, md bool) int {
-	wantTrace := false
-	for _, s := range specs {
-		if s.Trace.Phases || s.Trace.Out != "" || s.Trace.CSV != "" || s.Trace.Metrics {
-			wantTrace = true
-		}
-	}
+	// Trace flags are shared, hence identical across specs.
 	var rec *trace.Recorder
-	if wantTrace {
+	if specs[0].Trace.Enabled() {
 		rec = trace.NewRecorder()
 	}
 
@@ -260,7 +256,7 @@ func executeRuns(specs []core.RunSpec, agree float64, md bool) int {
 // exitCodeFor maps validation errors (bad figure/row/col, bad knobs) to
 // exit 2 like flag errors; execution failures exit 1.
 func exitCodeFor(err error) int {
-	if strings.Contains(err.Error(), "valid") || strings.Contains(err.Error(), "must be") {
+	if errors.Is(err, bench.ErrInvalidSpec) {
 		return 2
 	}
 	return 1
@@ -297,12 +293,10 @@ func hostBench(spec core.RunSpec, benchout string) int {
 	if spec.Figure != "" {
 		ids = []string{spec.Figure}
 	}
-	spec = spec.Normalize()
-	o := spec.Options()
-	records, err := bench.RunHostBench(ids, o)
+	records, err := bench.RunHostBench(context.Background(), ids, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
+		return exitCodeFor(err)
 	}
 	for i := 0; i+1 < len(records); i += 2 {
 		seq, par := records[i], records[i+1]
@@ -402,7 +396,7 @@ func benchGate(g gateParams) int {
 func cmdList(args []string) int {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	fs.Parse(args)
-	for _, f := range bench.Figures(bench.Options{}) {
+	for _, f := range bench.Figures() {
 		fmt.Printf("  %-7s %s\n", f.ID, f.Title)
 	}
 	return 0

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -75,25 +76,41 @@ func TestCellStringAndAgreement(t *testing.T) {
 }
 
 func TestRegistryCoversAllFigures(t *testing.T) {
-	figs := Figures(Options{})
 	want := []string{"fig1a", "fig1b", "fig1c", "fig2", "fig3a", "fig3b", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig7b", "fig7c", "fig-ps", "fig-skew", "fig-imbal", "fig-scale"}
-	if len(figs) != len(want) {
-		t.Fatalf("got %d figures, want %d", len(figs), len(want))
+	infos := Figures()
+	if len(infos) != len(want) {
+		t.Fatalf("got %d figures, want %d", len(infos), len(want))
 	}
-	for i, f := range figs {
-		if f.ID != want[i] {
-			t.Errorf("figure %d = %s, want %s", i, f.ID, want[i])
+	for i, info := range infos {
+		if info.ID != want[i] {
+			t.Errorf("figure %d = %s, want %s", i, info.ID, want[i])
+		}
+		f := buildFigure(RunSpec{Figure: info.ID}.Normalize())
+		// The listing title is a literal; it must be what the default
+		// spec renders, also for the figures that format knobs into it.
+		if f.id != info.ID || f.title != info.Title {
+			t.Errorf("figure %s built as %s %q, listed as %q", info.ID, f.id, f.title, info.Title)
 		}
 		if len(f.rows) == 0 {
-			t.Errorf("figure %s has no rows", f.ID)
+			t.Errorf("figure %s has no rows", f.id)
 		}
+		rows := map[string]bool{}
 		for _, r := range f.rows {
-			if len(r.cells) == 0 {
-				t.Errorf("figure %s row %s has no cells", f.ID, r.label)
+			if rows[r.label] {
+				t.Errorf("figure %s has two rows labelled %q", f.id, r.label)
 			}
+			rows[r.label] = true
+			if len(r.cells) == 0 {
+				t.Errorf("figure %s row %s has no cells", f.id, r.label)
+			}
+			cols := map[string]bool{}
 			for _, c := range r.cells {
+				if cols[c.col] {
+					t.Errorf("figure %s row %s has two columns labelled %q", f.id, r.label, c.col)
+				}
+				cols[c.col] = true
 				if c.run == nil && c.paperIter != "NA" {
-					t.Errorf("figure %s row %s col %s has no runner", f.ID, r.label, c.col)
+					t.Errorf("figure %s row %s col %s has no runner", f.id, r.label, c.col)
 				}
 			}
 		}
@@ -101,10 +118,10 @@ func TestRegistryCoversAllFigures(t *testing.T) {
 }
 
 func TestFigureByID(t *testing.T) {
-	if FigureByID("fig2", Options{}) == nil {
+	if buildFigure(RunSpec{Figure: "fig2"}.Normalize()) == nil {
 		t.Error("fig2 not found")
 	}
-	if FigureByID("nope", Options{}) != nil {
+	if buildFigure(RunSpec{Figure: "nope"}.Normalize()) != nil {
 		t.Error("unknown id should be nil")
 	}
 }
@@ -112,8 +129,11 @@ func TestFigureByID(t *testing.T) {
 func TestRunSmallFigure(t *testing.T) {
 	// Run fig6 (one row) at reduced iterations to exercise the runner
 	// end to end, including a Fail cell.
-	f := FigureByID("fig6", Options{Iterations: 1})
-	tbl := f.Run(Options{Iterations: 1})
+	res, err := ExecuteSpec(context.Background(), RunSpec{Figure: "fig6", Iterations: 1}, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := res.Table
 	if len(tbl.Rows) != 1 || len(tbl.Cols) != 3 {
 		t.Fatalf("table shape %dx%d", len(tbl.Rows), len(tbl.Cols))
 	}

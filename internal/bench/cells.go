@@ -1,10 +1,5 @@
 package bench
 
-import (
-	"context"
-	"fmt"
-)
-
 // CellRef addresses one runnable cell of a registered figure by its
 // rendered labels. The perf gate (internal/perfgate) enumerates refs to
 // wall-time every table cell individually, so a regression report can
@@ -19,51 +14,34 @@ func (r CellRef) String() string {
 	return r.Figure + ":" + r.Row + ":" + r.Col
 }
 
+// Options is what RunSpec.Options returns and RunnableCellRefs accepts: a
+// wrapped RunSpec and nothing else. It exists only because the frozen
+// benchmark/ module spells bench.RunnableCellRefs(spec.Normalize().Options());
+// when benchmark/ next changes, RunnableCellRefs should take the RunSpec
+// and both Options and RunSpec.Options should go.
+type Options struct{ spec RunSpec }
+
+// Options wraps the spec for RunnableCellRefs; see Options.
+func (s RunSpec) Options() Options { return Options{s} }
+
 // RunnableCellRefs enumerates every cell of every figure that has a run
-// function (paper-NA cells are skipped), in rendering order.
+// function (paper-NA cells are skipped), in rendering order, with each
+// figure built under the spec's knobs (its Figure, Row and Col are
+// ignored).
 func RunnableCellRefs(o Options) []CellRef {
 	var refs []CellRef
-	for _, f := range Figures(o) {
+	s := o.spec
+	for _, id := range FigureIDs() {
+		s.Figure = id
+		f := buildFigure(s.Normalize())
 		for _, r := range f.rows {
 			for _, c := range r.cells {
 				if c.run == nil || c.paperIter == "NA" {
 					continue
 				}
-				refs = append(refs, CellRef{Figure: f.ID, Row: r.label, Col: c.col})
+				refs = append(refs, CellRef{Figure: f.id, Row: r.label, Col: c.col})
 			}
 		}
 	}
 	return refs
-}
-
-// RunSingleCell executes the referenced cell exactly as Figure.Run would
-// (probe run and fault schedule included when faults are active) and
-// returns the measured cell. ctx cancels the run mid-phase; the returned
-// error then wraps context.Canceled.
-func RunSingleCell(ctx context.Context, ref CellRef, o Options) (Cell, error) {
-	o = o.withDefaults()
-	if ctx != nil {
-		o.Ctx = ctx
-	}
-	f := FigureByID(ref.Figure, o)
-	if f == nil {
-		return Cell{}, fmt.Errorf("bench: unknown figure %q", ref.Figure)
-	}
-	return runSingleCellIn(f, ref, o)
-}
-
-// runSingleCellIn runs ref's cell within an already-resolved figure whose
-// Options match o (ExecuteSpec resolves once for validation and reuses).
-func runSingleCellIn(f *Figure, ref CellRef, o Options) (Cell, error) {
-	for _, r := range f.rows {
-		if r.label != ref.Row {
-			continue
-		}
-		for _, c := range r.cells {
-			if c.col == ref.Col {
-				return runCell(c, f.ID, r.label, o)
-			}
-		}
-	}
-	return Cell{}, fmt.Errorf("bench: no cell %s", ref)
 }

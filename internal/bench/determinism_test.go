@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"mlbench/internal/trace"
@@ -36,19 +37,19 @@ func TestWorkerCountInvariantTables(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			render := func(workers int) (table, chrome, csv string) {
-				o := Options{Iterations: 1, Seed: 3, HostWorkers: workers}
+				s := RunSpec{Figure: id, Iterations: 1, Seed: 3, Workers: workers}
 				if testing.Short() {
 					// -short (the CI race run) shrinks the real per-cell
 					// arithmetic 10x; worker-count invariance is
 					// scale-independent, and full scale is far too slow
 					// under the race detector.
-					o.ScaleDiv = 0.1
+					s.ScaleDiv = 0.1
 				}
+				s = s.Normalize()
 				rec := trace.NewRecorder()
-				o.Recorder = rec
-				f := FigureByID(id, o)
-				if f == nil {
-					t.Fatalf("figure %s not registered", id)
+				f, err := s.resolve()
+				if err != nil {
+					t.Fatal(err)
 				}
 				if testing.Short() {
 					// Likewise keep every row — all platforms, and fig7's
@@ -57,7 +58,11 @@ func TestWorkerCountInvariantTables(t *testing.T) {
 						f.rows[i].cells = f.rows[i].cells[:1]
 					}
 				}
-				table = f.Run(o).Render()
+				tbl, err := f.run(context.Background(), s, ExecOptions{Recorder: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				table = tbl.Render()
 				var cb, vb bytes.Buffer
 				if err := trace.WriteChrome(&cb, rec); err != nil {
 					t.Fatalf("WriteChrome: %v", err)
@@ -105,11 +110,11 @@ func clip(s string, i int) string {
 // figure: two records per figure, matching worker counts, and the same
 // virtual time in both (wall time may differ; virtual time must not).
 func TestHostBenchWritesRecords(t *testing.T) {
-	o := Options{Iterations: 1, Seed: 3}
+	s := RunSpec{Iterations: 1, Seed: 3}
 	if testing.Short() {
-		o.ScaleDiv = 0.1
+		s.ScaleDiv = 0.1
 	}
-	records, err := RunHostBench([]string{"fig6"}, o)
+	records, err := RunHostBench(context.Background(), []string{"fig6"}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +136,13 @@ func TestHostBenchWritesRecords(t *testing.T) {
 	}
 }
 
-// TestRunnableCellRefs checks the perf-gate cell enumeration: every ref
-// resolves, NA cells are excluded, and a ref round-trips through
-// RunSingleCell to the same cell Figure.Run produces.
+// TestRunnableCellRefs checks the perf-gate cell enumeration: NA cells
+// are excluded and every ref is a cell spec Validate accepts. (That a
+// cell spec yields the cell the whole-figure spec produces is
+// TestExecuteSpecCellMatchesFigureSpec.)
 func TestRunnableCellRefs(t *testing.T) {
-	o := Options{Iterations: 1, Seed: 3, ScaleDiv: 0.02}
-	refs := RunnableCellRefs(o)
+	s := RunSpec{Iterations: 1, Seed: 3, ScaleDiv: 0.02}
+	refs := RunnableCellRefs(s.Options())
 	if len(refs) < 100 {
 		t.Fatalf("RunnableCellRefs = %d cells, want the full evaluation (>= 100)", len(refs))
 	}
@@ -144,21 +150,10 @@ func TestRunnableCellRefs(t *testing.T) {
 		if r.Figure == "fig4a" && r.Row == "Spark (Python)" && r.Col == "word-based" {
 			t.Errorf("NA cell %s enumerated as runnable", r)
 		}
-	}
-	ref := CellRef{Figure: "fig6", Row: "Spark (Java)", Col: "5m"}
-	cell, err := RunSingleCell(nil, ref, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := FigureByID("fig6", o)
-	want := f.Run(o).Cells["Spark (Java)"]["5m"]
-	if cell.String() != want.String() {
-		t.Errorf("RunSingleCell(%s) = %s, Figure.Run = %s", ref, cell, want)
-	}
-	if _, err := RunSingleCell(nil, CellRef{Figure: "fig6", Row: "nope", Col: "5m"}, o); err == nil {
-		t.Error("RunSingleCell on a bogus row: want error")
-	}
-	if _, err := RunSingleCell(nil, CellRef{Figure: "nope", Row: "x", Col: "y"}, o); err == nil {
-		t.Error("RunSingleCell on a bogus figure: want error")
+		cs := s
+		cs.Figure, cs.Row, cs.Col = r.Figure, r.Row, r.Col
+		if err := cs.Validate(); err != nil {
+			t.Errorf("ref %s is not a valid cell spec: %v", r, err)
+		}
 	}
 }

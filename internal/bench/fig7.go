@@ -18,19 +18,19 @@ import (
 // fig7RunFn picks the GMM runner for a recovery-figure row. The graph
 // engines use their super-vertex implementations — the variants that
 // survive at every cluster size in the paper.
-func fig7RunFn(o Options, platform string) runFn {
+func fig7RunFn(s RunSpec, platform string) runFn {
 	switch platform {
 	case "simsql":
-		cfg := gmmCfg(o, 10, false)
+		cfg := gmmCfg(s, 10, false)
 		return func(cl *sim.Cluster) (*task.Result, error) { return gmmtask.RunSimSQL(cl, cfg) }
 	case "spark":
-		cfg := gmmCfg(o, 10, false)
+		cfg := gmmCfg(s, 10, false)
 		return func(cl *sim.Cluster) (*task.Result, error) { return gmmtask.RunSpark(cl, cfg, sim.ProfilePython) }
 	case "graphlab":
-		cfg := gmmCfg(o, 10, true)
+		cfg := gmmCfg(s, 10, true)
 		return func(cl *sim.Cluster) (*task.Result, error) { return gmmtask.RunGraphLab(cl, cfg) }
 	case "giraph":
-		cfg := gmmCfg(o, 10, true)
+		cfg := gmmCfg(s, 10, true)
 		return func(cl *sim.Cluster) (*task.Result, error) { return gmmtask.RunGiraph(cl, cfg) }
 	}
 	return nil
@@ -47,8 +47,8 @@ var fig7Rows = []struct{ label, platform string }{
 // fig7Faults resolves a recovery figure's fault settings: the user's
 // -failures/-failat/-straggle flags win; otherwise the figure's default
 // applies. Either way the checkpointing defaults are filled in.
-func fig7Faults(o Options, def FaultConfig) FaultConfig {
-	fc := o.Faults
+func fig7Faults(s RunSpec, def FaultConfig) FaultConfig {
+	fc := s.Faults
 	if !fc.Active() {
 		fc = def
 	}
@@ -57,15 +57,14 @@ func fig7Faults(o Options, def FaultConfig) FaultConfig {
 
 // fig7 is the headline recovery table: per-platform iteration time with
 // machine crashes injected mid-run, across cluster sizes.
-func fig7(o Options) *Figure {
-	fc := fig7Faults(o, FaultConfig{Failures: 1})
-	f := &Figure{
-		ID: "fig7",
-		Title: fmt.Sprintf("GMM 10d under failure: %d machine crash(es) mid-run (avg time per iteration, init in parens)",
+func fig7(s RunSpec) *figure {
+	fc := fig7Faults(s, FaultConfig{Failures: 1})
+	f := &figure{
+		title: fmt.Sprintf("GMM 10d under failure: %d machine crash(es) mid-run (avg time per iteration, init in parens)",
 			fc.Failures),
 	}
 	for _, r := range fig7Rows {
-		run := fig7RunFn(o, r.platform)
+		run := fig7RunFn(s, r.platform)
 		machines := []int{5, 20, 100}
 		cells := make([]cellSpec, len(machines))
 		for i, m := range machines {
@@ -80,17 +79,14 @@ func fig7(o Options) *Figure {
 // column still runs with checkpointing enabled, so the delta against the
 // failure columns separates steady-state checkpoint cost from recovery
 // cost.
-func fig7b(o Options) *Figure {
-	f := &Figure{
-		ID:    "fig7b",
-		Title: "GMM 10d, 20 machines: iteration time vs number of failures (checkpointing on in all columns)",
-	}
+func fig7b(s RunSpec) *figure {
+	f := &figure{}
 	for _, r := range fig7Rows {
-		run := fig7RunFn(o, r.platform)
+		run := fig7RunFn(s, r.platform)
 		counts := []int{0, 1, 2}
 		cells := make([]cellSpec, len(counts))
 		for i, n := range counts {
-			fc := o.Faults.withFaultDefaults()
+			fc := s.Faults.withFaultDefaults()
 			fc.Failures = n
 			cells[i] = cellSpec{col: fmt.Sprintf("%d failures", n), machines: 20, scale: gmmScale(10), run: run, faults: &fc}
 		}
@@ -102,21 +98,18 @@ func fig7b(o Options) *Figure {
 // fig7c ablates the checkpoint/snapshot interval for the rollback
 // engines under one crash: frequent checkpoints pay every superstep but
 // bound the rollback; none at all replays the whole run.
-func fig7c(o Options) *Figure {
-	f := &Figure{
-		ID:    "fig7c",
-		Title: "Checkpoint-interval ablation: GMM 10d, 20 machines, 1 crash (interval in supersteps/rounds)",
-	}
+func fig7c(s RunSpec) *figure {
+	f := &figure{}
 	rows := []struct{ label, platform string }{
 		{"Giraph (Super Vertex)", "giraph"},
 		{"GraphLab (Super Vertex)", "graphlab"},
 	}
 	for _, r := range rows {
-		run := fig7RunFn(o, r.platform)
+		run := fig7RunFn(s, r.platform)
 		intervals := []int{-1, 1, 3, 10}
 		cells := make([]cellSpec, len(intervals))
 		for i, k := range intervals {
-			fc := o.Faults.withFaultDefaults()
+			fc := s.Faults.withFaultDefaults()
 			if fc.Failures == 0 {
 				fc.Failures = 1
 			}

@@ -1,22 +1,31 @@
 package bench
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// tinyRecoveryFigure is a one-row cut of fig7 small enough for tests.
-func tinyRecoveryFigure(o Options, platform string, machines int, fc FaultConfig) *Figure {
-	return &Figure{
-		ID:    "figtest",
-		Title: "recovery test figure",
+// runTinyRecoveryFigure runs a one-row cut of fig7 small enough for
+// tests under the normalized spec.
+func runTinyRecoveryFigure(t *testing.T, s RunSpec, platform string, machines int, fc FaultConfig) *Table {
+	t.Helper()
+	s = s.Normalize()
+	f := &figure{
+		id:    "figtest",
+		title: "recovery test figure",
 		rows: []rowSpec{
 			{label: platform, cells: []cellSpec{
-				{col: "c", machines: machines, scale: gmmScale(10), run: fig7RunFn(o, platform), faults: &fc},
+				{col: "c", machines: machines, scale: gmmScale(10), run: fig7RunFn(s, platform), faults: &fc},
 			}},
 		},
 	}
+	tbl, err := f.run(context.Background(), s, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 func TestFaultScheduleIsDeterministic(t *testing.T) {
@@ -40,10 +49,10 @@ func TestFaultScheduleIsDeterministic(t *testing.T) {
 }
 
 func TestFaultInjectionTablesAreByteIdentical(t *testing.T) {
-	o := Options{Iterations: 1, Seed: 3, Faults: FaultConfig{Failures: 1}}
-	fc := o.Faults.withFaultDefaults()
+	s := RunSpec{Iterations: 1, Seed: 3, Faults: FaultConfig{Failures: 1}}
+	fc := s.Faults.withFaultDefaults()
 	run := func() string {
-		return tinyRecoveryFigure(o.withDefaults(), "spark", 4, fc).Run(o).Render()
+		return runTinyRecoveryFigure(t, s, "spark", 4, fc).Render()
 	}
 	first, second := run(), run()
 	if first != second {
@@ -52,9 +61,9 @@ func TestFaultInjectionTablesAreByteIdentical(t *testing.T) {
 }
 
 func TestFaultInjectionRecordsRecoveryNotes(t *testing.T) {
-	o := Options{Iterations: 1, Seed: 3}
-	clean := tinyRecoveryFigure(o.withDefaults(), "giraph", 4, FaultConfig{}).Run(o)
-	faulty := tinyRecoveryFigure(o.withDefaults(), "giraph", 4, FaultConfig{Failures: 1}).Run(o)
+	s := RunSpec{Iterations: 1, Seed: 3}
+	clean := runTinyRecoveryFigure(t, s, "giraph", 4, FaultConfig{})
+	faulty := runTinyRecoveryFigure(t, s, "giraph", 4, FaultConfig{Failures: 1})
 	cc, fc := clean.Cells["giraph"]["c"], faulty.Cells["giraph"]["c"]
 	if cc.Failed || fc.Failed {
 		t.Fatalf("cells failed: clean %+v faulty %+v", cc, fc)
@@ -79,7 +88,7 @@ func TestFaultInjectionRecordsRecoveryNotes(t *testing.T) {
 }
 
 func TestRecoveryFiguresCoverAllPlatforms(t *testing.T) {
-	f := FigureByID("fig7", Options{})
+	f := buildFigure(RunSpec{Figure: "fig7"}.Normalize())
 	if f == nil {
 		t.Fatal("fig7 not registered")
 	}

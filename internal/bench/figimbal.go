@@ -17,8 +17,8 @@ import (
 // server keeps its lightly loaded workers busy. The paper never ran
 // imbalanced partitions, so the paper column renders as "?" and the
 // table is judged by the perf gate's golden snapshots instead.
-func figImbal(o Options) *Figure {
-	ps := psengine.Config{Shards: o.PSShards, Staleness: o.PSStaleness}
+func figImbal(s RunSpec) *figure {
+	ps := psengine.Config{Shards: s.Shards, Staleness: s.Staleness}
 	py := sim.ProfilePython
 
 	cols := []struct{ name, dataset string }{
@@ -36,15 +36,12 @@ func figImbal(o Options) *Figure {
 		{"Giraph (Super Vertex)", "giraph", true},
 		{"Param Server", "ps", false},
 	}
-	f := &Figure{
-		ID:    "fig-imbal",
-		Title: "GMM under partition imbalance (5 machines; datagen scenarios per column)",
-	}
+	f := &figure{}
 	for _, r := range rows {
 		platform := r.platform
 		cells := make([]cellSpec, len(cols))
 		for i, c := range cols {
-			cfg := gmmCfg(o, 10, r.sv)
+			cfg := gmmCfg(s, 10, r.sv)
 			cfg.Dataset = c.dataset
 			var run runFn
 			switch platform {

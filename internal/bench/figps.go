@@ -22,16 +22,16 @@ import (
 // Param Server row; at staleness 0 its cycles are synchronous and its
 // GMM/Lasso chains are bit-identical to Giraph's (the equivalence battery
 // certifies this).
-func figPS(o Options) *Figure {
-	ps := psengine.Config{Shards: o.PSShards, Staleness: o.PSStaleness}
+func figPS(s RunSpec) *figure {
+	ps := psengine.Config{Shards: s.Shards, Staleness: s.Staleness}
 	py := sim.ProfilePython
-	gmmPlain := gmmCfg(o, 10, false)
-	gmmSV := gmmCfg(o, 10, true)
-	lassoC := lassoCfg(o)
+	gmmPlain := gmmCfg(s, 10, false)
+	gmmSV := gmmCfg(s, 10, true)
+	lassoC := lassoCfg(s)
 	lassoSV := lassoC
 	lassoSV.SuperVertex = true
-	ldaC := ldaCfg(o)
-	hmmC := hmmCfg(o)
+	ldaC := ldaCfg(s)
+	hmmC := hmmCfg(s)
 
 	type col struct {
 		name  string
@@ -80,9 +80,8 @@ func figPS(o Options) *Figure {
 	if ps.Shards > 0 {
 		shards = fmt.Sprintf("%d", ps.Shards)
 	}
-	f := &Figure{
-		ID: "fig-ps",
-		Title: fmt.Sprintf("Parameter server vs the paper's platforms (5 machines; shards=%s staleness=%d on the PS row)",
+	f := &figure{
+		title: fmt.Sprintf("Parameter server vs the paper's platforms (5 machines; shards=%s staleness=%d on the PS row)",
 			shards, ps.Staleness),
 	}
 	for _, r := range rows {

@@ -11,16 +11,8 @@ import (
 )
 
 // defaultScaleMachines is the fig-scale sweep's top machine count when
-// Options.Machines is unset.
+// RunSpec.Machines is unset (Normalize fills it in).
 const defaultScaleMachines = 10_000
-
-// scaleMachines resolves the sweep's top machine count.
-func scaleMachines(o Options) int {
-	if o.Machines > 0 {
-		return o.Machines
-	}
-	return defaultScaleMachines
-}
 
 // defaultScaleShards caps the parameter-server shard count for the
 // fig-scale PS row: the engine's default of one shard per machine makes
@@ -41,9 +33,9 @@ const defaultScaleShards = 64
 // column renders "?". GraphLab's rows run under the engine's boot clamp
 // (the paper's cluster ceiling) — the cells report what the clamped
 // deployment achieves.
-func figScale(o Options) *Figure {
-	top := scaleMachines(o)
-	ps := psengine.Config{Shards: o.PSShards, Staleness: o.PSStaleness}
+func figScale(s RunSpec) *figure {
+	top := s.Machines
+	ps := psengine.Config{Shards: s.Shards, Staleness: s.Staleness}
 	if ps.Shards == 0 {
 		ps.Shards = defaultScaleShards
 	}
@@ -52,9 +44,9 @@ func figScale(o Options) *Figure {
 	// Small model dimensions keep the per-machine statistics payloads
 	// model-sized while the machine count carries the sweep.
 	gmmC := gmmtask.Config{K: 4, D: 4, PointsPerMachine: 1_000_000,
-		SuperVertex: true, SVPerMachine: 1, Iterations: o.Iterations, Dataset: o.Dataset}
+		SuperVertex: true, SVPerMachine: 1, Iterations: s.Iterations, Dataset: s.Dataset}
 	ldaC := ldatask.Config{T: 20, V: 1_000, DocsPerMachine: 100_000, AvgDocLen: 20,
-		Iterations: o.Iterations, Sampler: o.Sampler, Dataset: o.Dataset}
+		Iterations: s.Iterations, Sampler: s.tier(), Dataset: s.Dataset}
 	const gmmScaleDown = 10_000 // 100 real points per machine
 	const ldaScaleDown = 50_000 // 2 real documents per machine
 
@@ -105,9 +97,8 @@ func figScale(o Options) *Figure {
 		{"Giraph (Super Vertex)", "giraph"},
 		{"Param Server", "ps"},
 	}
-	f := &Figure{
-		ID: "fig-scale",
-		Title: fmt.Sprintf("Streamed scale-out sweep: GMM and LDA at %d/%d/%d simulated machines (shards=%d staleness=%d on the PS row)",
+	f := &figure{
+		title: fmt.Sprintf("Streamed scale-out sweep: GMM and LDA at %d/%d/%d simulated machines (shards=%d staleness=%d on the PS row)",
 			cols[0].machines, cols[1].machines, cols[2].machines, ps.Shards, ps.Staleness),
 	}
 	for _, r := range rows {

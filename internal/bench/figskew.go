@@ -17,8 +17,8 @@ import (
 // long-tailed text. The paper never ran these corpora, so the paper
 // column renders as "?" and the table is judged by the perf gate's
 // golden snapshots instead.
-func figSkew(o Options) *Figure {
-	ps := psengine.Config{Shards: o.PSShards, Staleness: o.PSStaleness}
+func figSkew(s RunSpec) *figure {
+	ps := psengine.Config{Shards: s.Shards, Staleness: s.Staleness}
 	py := sim.ProfilePython
 
 	cols := []struct{ name, dataset string }{
@@ -33,15 +33,12 @@ func figSkew(o Options) *Figure {
 		{"Giraph (Super Vertex)", "giraph"},
 		{"Param Server", "ps"},
 	}
-	f := &Figure{
-		ID:    "fig-skew",
-		Title: "LDA under heavy-tailed corpus skew (5 machines; datagen scenarios per column)",
-	}
+	f := &figure{}
 	for _, r := range rows {
 		platform := r.platform
 		cells := make([]cellSpec, len(cols))
 		for i, c := range cols {
-			cfg := ldaCfg(o)
+			cfg := ldaCfg(s)
 			cfg.Dataset = c.dataset
 			var run runFn
 			switch platform {

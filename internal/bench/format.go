@@ -119,9 +119,6 @@ type Table struct {
 	Cols  []string
 	Rows  []string
 	Cells map[string]map[string]Cell // row -> col -> cell
-	// Notes carries table-level annotations: the metrics dump when
-	// Options.Metrics is set, and any trace export errors.
-	Notes []string
 }
 
 // Render prints the table with measured and paper values side by side.
@@ -142,12 +139,6 @@ func (t *Table) Render() string {
 			fmt.Fprintf(&b, "%-*s", colWidth, fmt.Sprintf("%s [paper %s]", cell.String(), cell.PaperString()))
 		}
 		b.WriteString("\n")
-	}
-	for _, n := range t.Notes {
-		b.WriteString(n)
-		if !strings.HasSuffix(n, "\n") {
-			b.WriteString("\n")
-		}
 	}
 	return b.String()
 }

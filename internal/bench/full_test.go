@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -14,12 +15,15 @@ func TestFullEvaluationAgreement(t *testing.T) {
 	if os.Getenv("MLBENCH_FULL") != "1" {
 		t.Skip("set MLBENCH_FULL=1 to run the full evaluation")
 	}
-	opts := Options{Iterations: 2}
 	matched, total := 0, 0
-	for _, f := range Figures(opts) {
-		tbl := f.Run(opts)
+	for _, id := range FigureIDs() {
+		res, err := ExecuteSpec(context.Background(), RunSpec{Figure: id, Iterations: 2}, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := res.Table
 		m, n := tbl.Agreement(3)
-		t.Logf("%s: %d/%d within 3x", f.ID, m, n)
+		t.Logf("%s: %d/%d within 3x", id, m, n)
 		matched += m
 		total += n
 		// Every Fail cell must match the paper, except the one known
@@ -32,12 +36,12 @@ func TestFullEvaluationAgreement(t *testing.T) {
 				if cell.Skipped || cell.PaperNA {
 					continue
 				}
-				if f.ID == "fig3b" && r == "Spark (Python)" && c == "100m" {
+				if id == "fig3b" && r == "Spark (Python)" && c == "100m" {
 					continue
 				}
 				if cell.Failed != cell.PaperFail {
 					t.Errorf("%s %s/%s: measured fail=%v, paper fail=%v",
-						f.ID, r, c, cell.Failed, cell.PaperFail)
+						id, r, c, cell.Failed, cell.PaperFail)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -21,7 +22,7 @@ type HostBenchRecord struct {
 }
 
 // maxMachines returns the largest cell cluster in the figure.
-func (f *Figure) maxMachines() int {
+func (f *figure) maxMachines() int {
 	max := 0
 	for _, r := range f.rows {
 		for _, c := range r.cells {
@@ -48,15 +49,15 @@ func virtualSec(t *Table, iters int) float64 {
 	return total
 }
 
-// RunHostBench measures the host-parallel speedup: it runs each figure
-// with HostWorkers=1 and again with the full worker pool, wall-timing
-// both, and verifies the rendered virtual-time tables are byte-identical
-// (the parallel scheduler must not change any simulated result). The
-// caller owns persistence; internal/perfgate wraps the records in the
-// versioned BENCH_host.json schema.
-func RunHostBench(figureIDs []string, o Options) ([]HostBenchRecord, error) {
-	o = o.withDefaults()
-	full := o.HostWorkers
+// RunHostBench measures the host-parallel speedup: it executes spec once
+// per figure id with Workers=1 and again with the full worker pool
+// (spec.Workers, or GOMAXPROCS when that is 0), wall-timing both, and
+// verifies the rendered virtual-time tables are byte-identical (the
+// parallel scheduler must not change any simulated result). The caller
+// owns persistence; internal/perfgate wraps the records in the versioned
+// BENCH_host.json schema.
+func RunHostBench(ctx context.Context, figureIDs []string, spec RunSpec) ([]HostBenchRecord, error) {
+	full := spec.Workers
 	if full <= 0 {
 		full = runtime.GOMAXPROCS(0)
 	}
@@ -64,23 +65,21 @@ func RunHostBench(figureIDs []string, o Options) ([]HostBenchRecord, error) {
 	for _, id := range figureIDs {
 		var renders [2]string
 		for i, workers := range []int{1, full} {
-			fo := o
-			fo.HostWorkers = workers
-			f := FigureByID(id, fo)
-			if f == nil {
-				return nil, fmt.Errorf("hostbench: unknown figure %q", id)
-			}
+			spec.Figure, spec.Workers = id, workers
 			start := time.Now()
-			t := f.Run(fo)
+			res, err := ExecuteSpec(ctx, spec, ExecOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("hostbench: %w", err)
+			}
 			wall := time.Since(start).Seconds()
-			renders[i] = t.Render()
+			renders[i] = res.Table.Render()
 			records = append(records, HostBenchRecord{
 				Figure:     id,
-				Machines:   f.maxMachines(),
+				Machines:   buildFigure(res.Spec).maxMachines(),
 				Workers:    workers,
 				HostCPUs:   runtime.NumCPU(),
 				WallSec:    wall,
-				VirtualSec: virtualSec(t, fo.Iterations),
+				VirtualSec: virtualSec(res.Table, res.Spec.Iterations),
 			})
 		}
 		if renders[0] != renders[1] {

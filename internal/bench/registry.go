@@ -3,9 +3,9 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mlbench/internal/faults"
-	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
 	"mlbench/internal/tasks/gmmtask"
 	"mlbench/internal/tasks/hmmtask"
@@ -15,117 +15,6 @@ import (
 	"mlbench/internal/tasks/task"
 	"mlbench/internal/trace"
 )
-
-// Options tunes a harness run.
-type Options struct {
-	// Iterations per chain (the paper averages the first five; the
-	// default here is 2 to keep real wall time short — virtual times are
-	// per-iteration averages either way).
-	Iterations int
-	// ScaleDiv divides the default scale factors, increasing the real
-	// data volume (1 = defaults; 10 = 10x more real elements).
-	ScaleDiv float64
-	// Seed overrides the cluster seed.
-	Seed uint64
-	// Trace records each cell's five most expensive simulation phases in
-	// its notes (the "-trace" CLI flag).
-	Trace bool
-	// TraceOut writes the full structured trace of every measured run as
-	// Chrome trace-event JSON to the given path (the "-traceout" CLI
-	// flag); load it in chrome://tracing or https://ui.perfetto.dev.
-	TraceOut string
-	// TraceCSV writes the same span/event stream as CSV (the "-tracecsv"
-	// CLI flag).
-	TraceCSV string
-	// Metrics collects the per-engine/cell/phase metrics registry; render
-	// it from the Recorder (the "-metrics" CLI flag).
-	Metrics bool
-	// Recorder, when non-nil, receives every cell's trace instead of a
-	// figure-owned recorder — set it to aggregate multiple figures into
-	// one export, as cmd/mlbench does. When nil and any of Trace,
-	// TraceOut, TraceCSV, or Metrics is set, Figure.Run makes its own
-	// recorder and handles the exports itself.
-	Recorder *trace.Recorder
-	// Faults injects machine crashes and stragglers into every cell (the
-	// "-failures"/"-failat"/"-straggle" CLI flags). Individual figures may
-	// override it per cell — the recovery figures (fig7 family) do.
-	Faults FaultConfig
-	// PSShards is the parameter-server shard count for fig-ps (the
-	// "-shards" CLI flag); 0 means one shard per machine.
-	PSShards int
-	// PSStaleness is the parameter-server staleness bound s for fig-ps
-	// (the "-staleness" CLI flag); 0 runs synchronous, BSP-equivalent
-	// cycles.
-	PSStaleness int
-	// Sampler is the LDA/HMM token hot-path tier (the "-sampler" CLI
-	// flag): the dense scan (default, byte-identical to the historical
-	// sampler), the per-element exact alias draw, or the cached
-	// Metropolis-Hastings kernel. It changes every sampled stream, so it
-	// is part of the run identity (RunSpec cache key).
-	Sampler randgen.SamplerTier
-	// Dataset is a datagen scenario name (the "-dataset" CLI flag)
-	// reshaping every task's synthetic data: word/topic skew and
-	// doc-length law for the text tasks, covariance conditioning and
-	// mixture imbalance for GMM, regressor correlation for Lasso, and
-	// partition imbalance for all of them. Empty runs the historical
-	// paper-shape generators, byte-identical to before the knob existed.
-	// It changes the sampled data, so it is part of the run identity
-	// (RunSpec cache key).
-	Dataset string
-	// HostWorkers bounds the host goroutines executing simulated machines
-	// concurrently (the "-workers" CLI flag): 0 uses GOMAXPROCS, 1 runs
-	// sequentially. Virtual-clock results are identical for any value.
-	HostWorkers int
-	// Machines is the fig-scale sweep's top machine count (the "-machines"
-	// CLI flag); 0 means 10,000. The sweep's columns run Machines/100,
-	// Machines/10, and Machines simulated machines. It changes the
-	// rendered table, so it is part of the run identity (RunSpec cache
-	// key).
-	Machines int
-	// ChunkElems bounds the elements resident per streamed-partition
-	// cursor (the "-chunk" CLI flag); 0 uses sim.DefaultChunkElems. Purely
-	// a host-memory knob: results are byte-identical at any value, so it
-	// is excluded from the cache key.
-	ChunkElems int
-	// Ctx, when non-nil, cancels the run: probe and measured clusters
-	// check it between simulation tasks, so an abandoned run stops
-	// mid-phase. Cancellation surfaces as an error from RunContext /
-	// RunSingleCell (never as a "Fail" cell). Nil means background.
-	Ctx context.Context
-	// Progress, when non-nil, receives one event per phase barrier of
-	// every measured (not probe) run. Events arrive host-sequentially in
-	// deterministic order and carry the virtual clock; the serving layer
-	// streams them to clients.
-	Progress func(ProgressEvent)
-}
-
-// ProgressEvent is one phase-barrier progress sample of a running cell.
-type ProgressEvent struct {
-	// Cell is the "figure/row/col" label of the running cell.
-	Cell string `json:"cell"`
-	// Phase is the simulation phase that just completed.
-	Phase string `json:"phase"`
-	// ClockSec is the cell's virtual clock after the barrier.
-	ClockSec float64 `json:"clock_sec"`
-}
-
-func (o Options) withDefaults() Options {
-	if o.Iterations == 0 {
-		o.Iterations = 2
-	}
-	if o.ScaleDiv == 0 {
-		o.ScaleDiv = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// wantTrace reports whether any option requires a trace recorder.
-func (o Options) wantTrace() bool {
-	return o.Trace || o.TraceOut != "" || o.TraceCSV != "" || o.Metrics || o.Recorder != nil
-}
 
 // runFn executes one cell's simulation on a prepared cluster.
 type runFn func(cl *sim.Cluster) (*task.Result, error)
@@ -138,7 +27,7 @@ type cellSpec struct {
 	run       runFn
 	paperIter string // "Fail", "NA", or H:MM:SS
 	paperInit string
-	// faults, when set, overrides Options.Faults for this cell.
+	// faults, when set, overrides RunSpec.Faults for this cell.
 	faults *FaultConfig
 }
 
@@ -148,49 +37,103 @@ type rowSpec struct {
 	cells []cellSpec
 }
 
-// Figure is one runnable paper figure.
-type Figure struct {
-	ID    string
-	Title string
+// figure is one runnable figure, built for one normalized RunSpec. A
+// builder fills rows, and title only when the spec's knobs appear in it;
+// buildFigure fills the rest from the registry entry.
+type figure struct {
+	id    string
+	title string
 	rows  []rowSpec
 }
 
-// newCluster builds the simulated cluster for a cell's clean probe run.
-// Probe runs are never traced: only the measured run's spans should land
-// in the exported trace.
-func newCluster(machines int, scale float64, o Options) *sim.Cluster {
-	cfg := sim.DefaultConfig(machines)
-	cfg.Scale = scale / o.ScaleDiv
-	if cfg.Scale < 1 {
-		cfg.Scale = 1
-	}
-	cfg.Seed = o.Seed
-	cfg.HostWorkers = o.HostWorkers
-	cfg.ChunkElems = o.ChunkElems
-	cfg.Ctx = o.Ctx
-	return sim.New(cfg)
+// registry is every table of the evaluation, in paper order. Listing the
+// figures reads only id and title (the title the default spec renders);
+// build runs for the one figure a spec names.
+var registry = []struct {
+	id, title string
+	build     func(RunSpec) *figure
+}{
+	{"fig1a", "GMM: initial implementations (avg time per iteration, init in parens)", fig1a},
+	{"fig1b", "GMM: alternative implementations", fig1b},
+	{"fig1c", "GMM: super vertex implementations (5 machines)", fig1c},
+	{"fig2", "Bayesian Lasso (avg time per iteration, init in parens)", fig2},
+	{"fig3a", "HMM: word-based and document-based (5 machines)", fig3a},
+	{"fig3b", "HMM: super vertex implementations", fig3b},
+	{"fig4a", "LDA: word-based and document-based (5 machines)", fig4a},
+	{"fig4b", "LDA: super vertex implementations", fig4b},
+	{"fig5", "Gaussian imputation", fig5},
+	{"fig6", "LDA: Spark Java implementation", fig6},
+	{"fig7", "GMM 10d under failure: 1 machine crash(es) mid-run (avg time per iteration, init in parens)", fig7},
+	{"fig7b", "GMM 10d, 20 machines: iteration time vs number of failures (checkpointing on in all columns)", fig7b},
+	{"fig7c", "Checkpoint-interval ablation: GMM 10d, 20 machines, 1 crash (interval in supersteps/rounds)", fig7c},
+	{"fig-ps", "Parameter server vs the paper's platforms (5 machines; shards=per-machine staleness=0 on the PS row)", figPS},
+	{"fig-skew", "LDA under heavy-tailed corpus skew (5 machines; datagen scenarios per column)", figSkew},
+	{"fig-imbal", "GMM under partition imbalance (5 machines; datagen scenarios per column)", figImbal},
+	{"fig-scale", "Streamed scale-out sweep: GMM and LDA at 100/1000/10000 simulated machines (shards=64 staleness=0 on the PS row)", figScale},
 }
 
-// newFaultCluster builds a cell's measured cluster with the trace
-// recorder attached plus the fault schedule and the engines'
-// checkpointing policies. A nil schedule with an inactive config is
-// newCluster plus tracing. cellName labels the cell's progress events.
-func newFaultCluster(machines int, scale float64, o Options, sched *faults.Schedule, fc FaultConfig, cellName string) *sim.Cluster {
-	cfg := sim.DefaultConfig(machines)
-	cfg.Scale = scale / o.ScaleDiv
+// FigureInfo is one line of the figure listing.
+type FigureInfo struct {
+	ID    string
+	Title string
+}
+
+// Figures lists the registered figures in paper order without building
+// any of them.
+func Figures() []FigureInfo {
+	out := make([]FigureInfo, len(registry))
+	for i, d := range registry {
+		out[i] = FigureInfo{ID: d.id, Title: d.title}
+	}
+	return out
+}
+
+// FigureIDs lists the registered figure ids in paper order.
+func FigureIDs() []string {
+	ids := make([]string, len(registry))
+	for i, d := range registry {
+		ids[i] = d.id
+	}
+	return ids
+}
+
+// buildFigure builds the figure the normalized spec s names, or returns
+// nil for an unknown id.
+func buildFigure(s RunSpec) *figure {
+	for _, d := range registry {
+		if d.id != s.Figure {
+			continue
+		}
+		f := d.build(s)
+		f.id = d.id
+		if f.title == "" {
+			f.title = d.title
+		}
+		return f
+	}
+	return nil
+}
+
+// newCluster builds the simulated cluster for one run of a cell. The
+// clean probe run passes a zero ExecOptions and FaultConfig and a nil
+// schedule: only the measured run is traced, reports progress (labelled
+// cellName), and carries the fault schedule and the engines'
+// checkpointing policies.
+func newCluster(ctx context.Context, c cellSpec, s RunSpec, ex ExecOptions, sched *faults.Schedule, fc FaultConfig, cellName string) *sim.Cluster {
+	cfg := sim.DefaultConfig(c.machines)
+	cfg.Scale = c.scale / s.ScaleDiv
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
-	cfg.Seed = o.Seed
-	cfg.Tracer = o.Recorder
-	cfg.HostWorkers = o.HostWorkers
-	cfg.ChunkElems = o.ChunkElems
+	cfg.Seed = s.Seed
+	cfg.Tracer = ex.Recorder
+	cfg.HostWorkers = s.Workers
+	cfg.ChunkElems = s.Chunk
 	cfg.Faults = sched
-	cfg.Ctx = o.Ctx
-	if o.Progress != nil {
-		progress := o.Progress
+	cfg.Ctx = ctx
+	if ex.Progress != nil {
 		cfg.Progress = func(phase string, clockSec float64) {
-			progress(ProgressEvent{Cell: cellName, Phase: phase, ClockSec: clockSec})
+			ex.Progress(ProgressEvent{Cell: cellName, Phase: phase, ClockSec: clockSec})
 		}
 	}
 	cfg.Recovery.BSPCheckpointEvery = interval(fc.BSPCheckpointEvery)
@@ -204,10 +147,10 @@ func newFaultCluster(machines int, scale float64, o Options, sched *faults.Sched
 // absolute virtual times inside the measured window (and observed
 // recoveries recorded in the cell's notes).
 //
-// The returned error is non-nil only when Options.Ctx was cancelled:
-// simulated failures (OOM) become "Fail" cells, but a cancelled host run
-// is not a result at all and must propagate.
-func runCell(c cellSpec, figID, row string, o Options) (Cell, error) {
+// The returned error is non-nil only when ctx was cancelled: simulated
+// failures (OOM) become "Fail" cells, but a cancelled host run is not a
+// result at all and must propagate.
+func runCell(ctx context.Context, c cellSpec, figID, row string, s RunSpec, ex ExecOptions) (Cell, error) {
 	cell := Cell{
 		RowLabel:     row,
 		ColLabel:     c.col,
@@ -221,26 +164,26 @@ func runCell(c cellSpec, figID, row string, o Options) (Cell, error) {
 		return cell, nil
 	}
 	cellName := figID + "/" + row + "/" + c.col
-	fc := o.Faults
+	fc := s.Faults
 	if c.faults != nil {
 		fc = *c.faults
 	}
 	var sched *faults.Schedule
 	if fc.Active() {
 		fc = fc.withFaultDefaults()
-		probe := newCluster(c.machines, c.scale, o)
+		probe := newCluster(ctx, c, s, ExecOptions{}, nil, FaultConfig{}, "")
 		res, err := c.run(probe)
 		if sim.IsCanceled(err) {
 			return cell, fmt.Errorf("bench: cell %s: %w", cellName, err)
 		}
 		if err == nil {
-			sched = fc.schedule(res.InitSec, res.AvgIterSec(), o.Iterations, c.machines, o.Seed)
+			sched = fc.schedule(res.InitSec, res.AvgIterSec(), s.Iterations, c.machines, s.Seed)
 		}
 	}
-	if o.Recorder != nil {
-		o.Recorder.BeginCell(cellName)
+	if ex.Recorder != nil {
+		ex.Recorder.BeginCell(cellName)
 	}
-	cl := newFaultCluster(c.machines, c.scale, o, sched, fc, cellName)
+	cl := newCluster(ctx, c, s, ex, sched, fc, cellName)
 	res, err := c.run(cl)
 	if err != nil {
 		if sim.IsCanceled(err) {
@@ -262,114 +205,49 @@ func runCell(c cellSpec, figID, row string, o Options) (Cell, error) {
 		cell.Notes = append(cell.Notes, fmt.Sprintf("fault: %s, observed at %s in %q, recovery %s",
 			f.Event, FormatDuration(f.ObservedAt), f.Phase, FormatDuration(f.RecoverySec)))
 	}
-	if o.Trace && o.Recorder != nil {
-		cell.Notes = append(cell.Notes, trace.TopPhases(o.Recorder, cellName, 5, FormatDuration)...)
+	if s.Trace.Phases && ex.Recorder != nil {
+		cell.Notes = append(cell.Notes, trace.TopPhases(ex.Recorder, cellName, 5, FormatDuration)...)
 	}
 	return cell, nil
 }
 
-// Run executes the figure and returns the rendered table. When a tracing
-// option is set and no shared Recorder was supplied, the figure owns one
-// for the duration of the run and performs any file exports itself;
-// export errors land in the table's notes.
-//
-// Run cannot be cancelled; use RunContext when Options.Ctx matters.
-func (f *Figure) Run(o Options) *Table {
-	t, _ := f.RunContext(nil, o)
-	return t
-}
-
-// RunContext is Run with cancellation: a non-nil ctx (or Options.Ctx)
-// aborts the run mid-phase and returns the partially filled table
-// together with an error wrapping context.Canceled. An explicit ctx
-// argument takes precedence over Options.Ctx.
-func (f *Figure) RunContext(ctx context.Context, o Options) (*Table, error) {
-	if ctx != nil {
-		o.Ctx = ctx
-	}
-	o = o.withDefaults()
-	owned := false
-	if o.Recorder == nil && o.wantTrace() {
-		o.Recorder = trace.NewRecorder()
-		owned = true
-	}
-	t := &Table{ID: f.ID, Title: f.Title, Cells: map[string]map[string]Cell{}}
+// run executes the figure's cells under the normalized spec s — only the
+// one s.Row/s.Col names when they are set — and returns the table. A
+// cancelled ctx aborts the run mid-phase with an error wrapping
+// context.Canceled.
+func (f *figure) run(ctx context.Context, s RunSpec, ex ExecOptions) (*Table, error) {
+	t := &Table{ID: f.id, Title: f.title, Cells: map[string]map[string]Cell{}}
 	for _, r := range f.rows {
+		if s.Row != "" && r.label != s.Row {
+			continue
+		}
 		t.Rows = append(t.Rows, r.label)
 		t.Cells[r.label] = map[string]Cell{}
 		for _, c := range r.cells {
-			if !contains(t.Cols, c.col) {
+			if s.Col != "" && c.col != s.Col {
+				continue
+			}
+			if !slices.Contains(t.Cols, c.col) {
 				t.Cols = append(t.Cols, c.col)
 			}
-			cell, err := runCell(c, f.ID, r.label, o)
+			cell, err := runCell(ctx, c, f.id, r.label, s, ex)
 			if err != nil {
-				return t, err
+				return nil, err
 			}
 			t.Cells[r.label][c.col] = cell
-		}
-	}
-	if owned {
-		if o.TraceOut != "" {
-			if err := trace.WriteChromeFile(o.TraceOut, o.Recorder); err != nil {
-				t.Notes = append(t.Notes, "trace export failed: "+err.Error())
-			}
-		}
-		if o.TraceCSV != "" {
-			if err := trace.WriteCSVFile(o.TraceCSV, o.Recorder); err != nil {
-				t.Notes = append(t.Notes, "trace CSV export failed: "+err.Error())
-			}
-		}
-		if o.Metrics {
-			t.Notes = append(t.Notes, o.Recorder.Metrics().Render())
 		}
 	}
 	return t, nil
 }
 
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Figures returns the registry: every table of the paper's evaluation.
-func Figures(o Options) []*Figure {
-	o = o.withDefaults()
-	return []*Figure{
-		fig1a(o), fig1b(o), fig1c(o),
-		fig2(o),
-		fig3a(o), fig3b(o),
-		fig4a(o), fig4b(o),
-		fig5(o),
-		fig6(o),
-		fig7(o), fig7b(o), fig7c(o),
-		figPS(o),
-		figSkew(o), figImbal(o),
-		figScale(o),
-	}
-}
-
-// FigureByID returns the named figure, or nil.
-func FigureByID(id string, o Options) *Figure {
-	for _, f := range Figures(o) {
-		if f.ID == id {
-			return f
-		}
-	}
-	return nil
-}
-
 // --- GMM (Figure 1) ---
 
-func gmmCfg(o Options, d int, sv bool) gmmtask.Config {
+func gmmCfg(s RunSpec, d int, sv bool) gmmtask.Config {
 	pts := 10_000_000
 	if d == 100 {
 		pts = 1_000_000
 	}
-	return gmmtask.Config{K: 10, D: d, PointsPerMachine: pts, Iterations: o.Iterations, SuperVertex: sv, Dataset: o.Dataset}
+	return gmmtask.Config{K: 10, D: d, PointsPerMachine: pts, Iterations: s.Iterations, SuperVertex: sv, Dataset: s.Dataset}
 }
 
 // gmmScale picks the scale so each machine holds a manageable number of
@@ -381,9 +259,9 @@ func gmmScale(d int) float64 {
 	return 10_000 // 1,000 real points/machine
 }
 
-func gmmCols(o Options, sv bool, profile *sim.Profile, platform string) []cellSpec {
+func gmmCols(s RunSpec, sv bool, profile *sim.Profile, platform string) []cellSpec {
 	mk := func(col string, machines, d int) cellSpec {
-		cfg := gmmCfg(o, d, sv)
+		cfg := gmmCfg(s, d, sv)
 		var run runFn
 		switch platform {
 		case "spark":
@@ -412,42 +290,38 @@ func withPaper(cells []cellSpec, iters, inits []string) []cellSpec {
 	return cells
 }
 
-func fig1a(o Options) *Figure {
+func fig1a(s RunSpec) *figure {
 	py := sim.ProfilePython
-	return &Figure{
-		ID:    "fig1a",
-		Title: "GMM: initial implementations (avg time per iteration, init in parens)",
+	return &figure{
 		rows: []rowSpec{
-			{"SimSQL", withPaper(gmmCols(o, false, nil, "simsql"),
+			{"SimSQL", withPaper(gmmCols(s, false, nil, "simsql"),
 				[]string{"27:55", "28:55", "35:54", "1:51:12"}, []string{"13:55", "14:38", "18:58", "36:08"})},
-			{"GraphLab", withPaper(gmmCols(o, false, nil, "graphlab"),
+			{"GraphLab", withPaper(gmmCols(s, false, nil, "graphlab"),
 				[]string{"Fail", "Fail", "Fail", "Fail"}, nil)},
-			{"Spark (Python)", withPaper(gmmCols(o, false, &py, "spark"),
+			{"Spark (Python)", withPaper(gmmCols(s, false, &py, "spark"),
 				[]string{"26:04", "37:34", "38:09", "47:40"}, []string{"4:10", "2:27", "2:00", "0:52"})},
-			{"Giraph", withPaper(gmmCols(o, false, nil, "giraph"),
+			{"Giraph", withPaper(gmmCols(s, false, nil, "giraph"),
 				[]string{"25:21", "30:26", "Fail", "Fail"}, []string{"0:18", "0:15", "", ""})},
 		},
 	}
 }
 
-func fig1b(o Options) *Figure {
+func fig1b(s RunSpec) *figure {
 	jv := sim.ProfileJava
-	return &Figure{
-		ID:    "fig1b",
-		Title: "GMM: alternative implementations",
+	return &figure{
 		rows: []rowSpec{
-			{"Spark (Java)", withPaper(gmmCols(o, false, &jv, "spark"),
+			{"Spark (Java)", withPaper(gmmCols(s, false, &jv, "spark"),
 				[]string{"12:30", "12:25", "18:11", "6:25:04"}, []string{"2:01", "2:03", "2:26", "36:08"})},
-			{"GraphLab (Super Vertex)", withPaper(gmmCols(o, true, nil, "graphlab"),
+			{"GraphLab (Super Vertex)", withPaper(gmmCols(s, true, nil, "graphlab"),
 				[]string{"6:13", "4:36", "6:09", "33:32"}, []string{"1:13", "2:47", "1:21", "0:42"})},
 		},
 	}
 }
 
-func fig1c(o Options) *Figure {
+func fig1c(s RunSpec) *figure {
 	py := sim.ProfilePython
 	mk := func(platform string, sv bool, d int) cellSpec {
-		cols := gmmCols(o, sv, &py, platform)
+		cols := gmmCols(s, sv, &py, platform)
 		// Columns 0 (10d/5m) and 3 (100d/5m) of the standard layout.
 		idx := 0
 		if d == 100 {
@@ -466,7 +340,7 @@ func fig1c(o Options) *Figure {
 		cells := []cellSpec{mk(platform, false, 10), mk(platform, true, 10), mk(platform, false, 100), mk(platform, true, 100)}
 		return rowSpec{label: platform, cells: withPaper(cells, iters, inits)}
 	}
-	f := &Figure{ID: "fig1c", Title: "GMM: super vertex implementations (5 machines)"}
+	f := &figure{}
 	f.rows = []rowSpec{
 		row("simsql", []string{"27:55", "6:20", "1:51:12", "7:22"}, []string{"13:55", "12:33", "36:08", "14:07"}),
 		row("graphlab", []string{"Fail", "6:13", "Fail", "33:32"}, []string{"", "1:13", "", "0:42"}),
@@ -483,12 +357,12 @@ func fig1c(o Options) *Figure {
 
 // --- Bayesian Lasso (Figure 2) ---
 
-func lassoCfg(o Options) lassotask.Config {
-	return lassotask.Config{P: 1000, PointsPerMachine: 100_000, Iterations: o.Iterations, Dataset: o.Dataset}
+func lassoCfg(s RunSpec) lassotask.Config {
+	return lassotask.Config{P: 1000, PointsPerMachine: 100_000, Iterations: s.Iterations, Dataset: s.Dataset}
 }
 
-func fig2(o Options) *Figure {
-	cfg := lassoCfg(o)
+func fig2(s RunSpec) *figure {
+	cfg := lassoCfg(s)
 	svCfg := cfg
 	svCfg.SuperVertex = true
 	scaleFor := func(machines int) float64 {
@@ -503,9 +377,7 @@ func fig2(o Options) *Figure {
 		}
 		return rowSpec{label: label, cells: withPaper(cells, iters, inits)}
 	}
-	return &Figure{
-		ID:    "fig2",
-		Title: "Bayesian Lasso (avg time per iteration, init in parens)",
+	return &figure{
 		rows: []rowSpec{
 			row("SimSQL", func(cl *sim.Cluster) (*task.Result, error) { return lassotask.RunSimSQL(cl, cfg) },
 				[]string{"7:09", "8:04", "12:24"}, []string{"2:40:06", "2:45:28", "2:54:45"}),
@@ -523,14 +395,14 @@ func fig2(o Options) *Figure {
 
 // --- HMM (Figure 3) ---
 
-func hmmCfg(o Options) hmmtask.Config {
-	return hmmtask.Config{K: 20, V: 10_000, DocsPerMachine: 2_500_000, AvgDocLen: 210, Iterations: o.Iterations, Sampler: o.Sampler, Dataset: o.Dataset}
+func hmmCfg(s RunSpec) hmmtask.Config {
+	return hmmtask.Config{K: 20, V: 10_000, DocsPerMachine: 2_500_000, AvgDocLen: 210, Iterations: s.Iterations, Sampler: s.tier(), Dataset: s.Dataset}
 }
 
 const hmmScale = 25_000 // 100 real documents per machine
 
-func fig3a(o Options) *Figure {
-	cfg := hmmCfg(o)
+func fig3a(s RunSpec) *figure {
+	cfg := hmmCfg(s)
 	cell := func(col string, v hmmtask.Variant, run func(cl *sim.Cluster, variant hmmtask.Variant) (*task.Result, error)) cellSpec {
 		return cellSpec{col: col, machines: 5, scale: hmmScale,
 			run: func(cl *sim.Cluster) (*task.Result, error) { return run(cl, v) }}
@@ -538,9 +410,7 @@ func fig3a(o Options) *Figure {
 	sim2 := func(cl *sim.Cluster, v hmmtask.Variant) (*task.Result, error) { return hmmtask.RunSimSQL(cl, cfg, v) }
 	spk := func(cl *sim.Cluster, v hmmtask.Variant) (*task.Result, error) { return hmmtask.RunSpark(cl, cfg, v) }
 	gir := func(cl *sim.Cluster, v hmmtask.Variant) (*task.Result, error) { return hmmtask.RunGiraph(cl, cfg, v) }
-	return &Figure{
-		ID:    "fig3a",
-		Title: "HMM: word-based and document-based (5 machines)",
+	return &figure{
 		rows: []rowSpec{
 			{"SimSQL", withPaper([]cellSpec{
 				cell("word-based", hmmtask.VariantWord, sim2),
@@ -558,8 +428,8 @@ func fig3a(o Options) *Figure {
 	}
 }
 
-func fig3b(o Options) *Figure {
-	cfg := hmmCfg(o)
+func fig3b(s RunSpec) *figure {
+	cfg := hmmCfg(s)
 	row := func(label string, run runVariantFn, iters, inits []string) rowSpec {
 		machines := []int{5, 20, 100}
 		cells := make([]cellSpec, len(machines))
@@ -570,9 +440,7 @@ func fig3b(o Options) *Figure {
 		}
 		return rowSpec{label: label, cells: withPaper(cells, iters, inits)}
 	}
-	return &Figure{
-		ID:    "fig3b",
-		Title: "HMM: super vertex implementations",
+	return &figure{
 		rows: []rowSpec{
 			row("Giraph", func(cl *sim.Cluster) (*task.Result, error) { return hmmtask.RunGiraph(cl, cfg, hmmtask.VariantSV) },
 				[]string{"2:27", "2:44", "3:12"}, []string{"1:12", "1:52", "2:56"}),
@@ -590,21 +458,19 @@ type runVariantFn = runFn
 
 // --- LDA (Figure 4) ---
 
-func ldaCfg(o Options) ldatask.Config {
-	return ldatask.Config{T: 100, V: 10_000, DocsPerMachine: 2_500_000, AvgDocLen: 210, Iterations: o.Iterations, Sampler: o.Sampler, Dataset: o.Dataset}
+func ldaCfg(s RunSpec) ldatask.Config {
+	return ldatask.Config{T: 100, V: 10_000, DocsPerMachine: 2_500_000, AvgDocLen: 210, Iterations: s.Iterations, Sampler: s.tier(), Dataset: s.Dataset}
 }
 
 const ldaScale = 25_000
 
-func fig4a(o Options) *Figure {
-	cfg := ldaCfg(o)
+func fig4a(s RunSpec) *figure {
+	cfg := ldaCfg(s)
 	py := sim.ProfilePython
 	mk := func(col string, run runVariantFn) cellSpec {
 		return cellSpec{col: col, machines: 5, scale: ldaScale, run: run}
 	}
-	return &Figure{
-		ID:    "fig4a",
-		Title: "LDA: word-based and document-based (5 machines)",
+	return &figure{
 		rows: []rowSpec{
 			{"SimSQL", withPaper([]cellSpec{
 				mk("word-based", func(cl *sim.Cluster) (*task.Result, error) { return ldatask.RunSimSQL(cl, cfg, ldatask.VariantWord) }),
@@ -622,8 +488,8 @@ func fig4a(o Options) *Figure {
 	}
 }
 
-func fig4b(o Options) *Figure {
-	cfg := ldaCfg(o)
+func fig4b(s RunSpec) *figure {
+	cfg := ldaCfg(s)
 	py := sim.ProfilePython
 	row := func(label string, run runVariantFn, iters, inits []string) rowSpec {
 		machines := []int{5, 20, 100}
@@ -633,9 +499,7 @@ func fig4b(o Options) *Figure {
 		}
 		return rowSpec{label: label, cells: withPaper(cells, iters, inits)}
 	}
-	return &Figure{
-		ID:    "fig4b",
-		Title: "LDA: super vertex implementations",
+	return &figure{
 		rows: []rowSpec{
 			row("Giraph", func(cl *sim.Cluster) (*task.Result, error) { return ldatask.RunGiraph(cl, cfg, ldatask.VariantSV) },
 				[]string{"18:49", "20:02", "Fail"}, []string{"2:35", "2:46", ""}),
@@ -651,8 +515,8 @@ func fig4b(o Options) *Figure {
 
 // --- Gaussian imputation (Figure 5) ---
 
-func fig5(o Options) *Figure {
-	cfg := imputetask.Config{K: 10, D: 10, PointsPerMachine: 10_000_000, Iterations: o.Iterations}
+func fig5(s RunSpec) *figure {
+	cfg := imputetask.Config{K: 10, D: 10, PointsPerMachine: 10_000_000, Iterations: s.Iterations}
 	row := func(label string, run runVariantFn, iters, inits []string) rowSpec {
 		machines := []int{5, 20, 100}
 		cells := make([]cellSpec, len(machines))
@@ -661,9 +525,7 @@ func fig5(o Options) *Figure {
 		}
 		return rowSpec{label: label, cells: withPaper(cells, iters, inits)}
 	}
-	return &Figure{
-		ID:    "fig5",
-		Title: "Gaussian imputation",
+	return &figure{
 		rows: []rowSpec{
 			row("Giraph", func(cl *sim.Cluster) (*task.Result, error) { return imputetask.RunGiraph(cl, cfg) },
 				[]string{"28:43", "31:23", "Fail"}, []string{"0:19", "0:18", ""}),
@@ -679,8 +541,8 @@ func fig5(o Options) *Figure {
 
 // --- LDA Spark Java (Figure 6) ---
 
-func fig6(o Options) *Figure {
-	cfg := ldaCfg(o)
+func fig6(s RunSpec) *figure {
+	cfg := ldaCfg(s)
 	jv := sim.ProfileJava
 	machines := []int{5, 20, 100}
 	cells := make([]cellSpec, len(machines))
@@ -688,9 +550,7 @@ func fig6(o Options) *Figure {
 		cells[i] = cellSpec{col: fmt.Sprintf("%dm", m), machines: m, scale: ldaScale,
 			run: func(cl *sim.Cluster) (*task.Result, error) { return ldatask.RunSpark(cl, cfg, ldatask.VariantSV, jv) }}
 	}
-	return &Figure{
-		ID:    "fig6",
-		Title: "LDA: Spark Java implementation",
+	return &figure{
 		rows: []rowSpec{
 			{"Spark (Java)", withPaper(cells, []string{"9:47", "19:36", "Fail"}, []string{"0:53", "1:15", ""})},
 		},

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -90,6 +91,11 @@ type TraceSpec struct {
 	Metrics bool `json:"metrics,omitempty"`
 }
 
+// Enabled reports whether any trace option needs a recorder.
+func (t TraceSpec) Enabled() bool {
+	return t.Phases || t.Out != "" || t.CSV != "" || t.Metrics
+}
+
 // ParseRunSpec decodes a JSON RunSpec strictly: unknown fields are
 // rejected so a typo'd knob fails loudly instead of silently running the
 // default experiment.
@@ -128,31 +134,53 @@ func (s RunSpec) Normalize() RunSpec {
 	return s
 }
 
-// figureIDs lists the registered figure ids in paper order.
-func figureIDs() []string {
-	var ids []string
-	for _, f := range Figures(Options{}) {
-		ids = append(ids, f.ID)
-	}
-	return ids
+// tier parses the sampler name. It has passed Validate wherever a figure
+// is run, so the parse cannot fail there; an unknown name falls back to
+// the zero tier (dense).
+func (s RunSpec) tier() randgen.SamplerTier {
+	t, _ := randgen.ParseSamplerTier(s.Sampler)
+	return t
 }
 
-// Validate checks the spec and returns an actionable error: unknown
-// figure, row, or column ids are rejected together with the list of valid
-// ids rather than silently matching nothing.
+// ErrInvalidSpec matches (errors.Is) every error Validate reports, so
+// callers can tell a rejected spec from a failed execution.
+var ErrInvalidSpec = errors.New("bench: invalid run spec")
+
+// invalidSpecError is a Validate failure: the actionable message, marked
+// as ErrInvalidSpec.
+type invalidSpecError struct{ error }
+
+func (invalidSpecError) Is(target error) bool { return target == ErrInvalidSpec }
+func (e invalidSpecError) Unwrap() error      { return e.error }
+
+func invalidf(format string, args ...any) error {
+	return invalidSpecError{fmt.Errorf(format, args...)}
+}
+
+// Validate checks the spec and returns an actionable error matching
+// ErrInvalidSpec: unknown figure, row, or column ids are rejected
+// together with the list of valid ids rather than silently matching
+// nothing.
 func (s RunSpec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve is Validate returning the figure it checked the spec against,
+// so ExecuteSpec runs exactly the figure that was validated.
+func (s RunSpec) resolve() (*figure, error) {
 	if s.Figure == "" {
-		return fmt.Errorf("bench: run spec needs a figure (valid figures: %s)", strings.Join(figureIDs(), ", "))
+		return nil, invalidf("bench: run spec needs a figure (valid figures: %s)", strings.Join(FigureIDs(), ", "))
 	}
-	// Build the figure from the spec's own normalized options: knobs like
-	// Machines change the column labels, and row/col selection must be
-	// checked against the figure ExecuteSpec will actually run.
-	f := FigureByID(s.Figure, s.Normalize().Options())
+	// Build the figure from the spec's own normalized knobs: Machines
+	// changes the column labels, and row/col selection must be checked
+	// against the figure ExecuteSpec will actually run.
+	f := buildFigure(s.Normalize())
 	if f == nil {
-		return fmt.Errorf("bench: unknown figure %q (valid figures: %s)", s.Figure, strings.Join(figureIDs(), ", "))
+		return nil, invalidf("bench: unknown figure %q (valid figures: %s)", s.Figure, strings.Join(FigureIDs(), ", "))
 	}
 	if (s.Row == "") != (s.Col == "") {
-		return fmt.Errorf("bench: cell selection needs both row and col (got row=%q col=%q)", s.Row, s.Col)
+		return nil, invalidf("bench: cell selection needs both row and col (got row=%q col=%q)", s.Row, s.Col)
 	}
 	if s.Row != "" {
 		var row *rowSpec
@@ -164,7 +192,7 @@ func (s RunSpec) Validate() error {
 			}
 		}
 		if row == nil {
-			return fmt.Errorf("bench: figure %s has no row %q (valid rows: %s)", s.Figure, s.Row, strings.Join(rows, ", "))
+			return nil, invalidf("bench: figure %s has no row %q (valid rows: %s)", s.Figure, s.Row, strings.Join(rows, ", "))
 		}
 		var cols []string
 		found := false
@@ -175,46 +203,46 @@ func (s RunSpec) Validate() error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("bench: figure %s row %q has no column %q (valid columns: %s)", s.Figure, s.Row, s.Col, strings.Join(cols, ", "))
+			return nil, invalidf("bench: figure %s row %q has no column %q (valid columns: %s)", s.Figure, s.Row, s.Col, strings.Join(cols, ", "))
 		}
 	}
 	if s.Iterations < 0 {
-		return fmt.Errorf("bench: iterations must be >= 0, got %d", s.Iterations)
+		return nil, invalidf("bench: iterations must be >= 0, got %d", s.Iterations)
 	}
 	if s.ScaleDiv < 0 {
-		return fmt.Errorf("bench: scalediv must be >= 0, got %v", s.ScaleDiv)
+		return nil, invalidf("bench: scalediv must be >= 0, got %v", s.ScaleDiv)
 	}
 	if s.Workers < 0 {
-		return fmt.Errorf("bench: workers must be >= 0, got %d", s.Workers)
+		return nil, invalidf("bench: workers must be >= 0, got %d", s.Workers)
 	}
 	if s.Shards < 0 {
-		return fmt.Errorf("bench: shards must be >= 0 (0 = one per machine), got %d", s.Shards)
+		return nil, invalidf("bench: shards must be >= 0 (0 = one per machine), got %d", s.Shards)
 	}
 	if s.Staleness < 0 {
-		return fmt.Errorf("bench: staleness must be >= 0 (0 = synchronous), got %d", s.Staleness)
+		return nil, invalidf("bench: staleness must be >= 0 (0 = synchronous), got %d", s.Staleness)
 	}
 	if s.Machines != 0 && s.Figure != "fig-scale" {
-		return fmt.Errorf("bench: machines only applies to fig-scale, got machines=%d for figure %q", s.Machines, s.Figure)
+		return nil, invalidf("bench: machines only applies to fig-scale, got machines=%d for figure %q", s.Machines, s.Figure)
 	}
 	if s.Machines != 0 && s.Machines < 100 {
-		return fmt.Errorf("bench: machines must be >= 100 (the sweep's smallest column is machines/100), got %d", s.Machines)
+		return nil, invalidf("bench: machines must be >= 100 (the sweep's smallest column is machines/100), got %d", s.Machines)
 	}
 	if s.Chunk < 0 {
-		return fmt.Errorf("bench: chunk must be >= 0 (0 = default chunk size), got %d", s.Chunk)
+		return nil, invalidf("bench: chunk must be >= 0 (0 = default chunk size), got %d", s.Chunk)
 	}
 	if _, err := randgen.ParseSamplerTier(s.Sampler); err != nil {
-		return fmt.Errorf("bench: %w", err)
+		return nil, invalidf("bench: %w", err)
 	}
 	if err := datagen.ParseScenario(s.Dataset); err != nil {
-		return fmt.Errorf("bench: %w", err)
+		return nil, invalidf("bench: %w", err)
 	}
 	if s.Faults.Failures < 0 {
-		return fmt.Errorf("bench: failures must be >= 0, got %d", s.Faults.Failures)
+		return nil, invalidf("bench: failures must be >= 0, got %d", s.Faults.Failures)
 	}
 	if s.Faults.Straggle != 0 && s.Faults.Straggle < 1 {
-		return fmt.Errorf("bench: straggle must be 0 (off) or >= 1, got %v", s.Faults.Straggle)
+		return nil, invalidf("bench: straggle must be 0 (off) or >= 1, got %v", s.Faults.Straggle)
 	}
-	return nil
+	return f, nil
 }
 
 // keyDoc is the canonical cache-key document: exactly the normalized
@@ -275,32 +303,6 @@ func (s RunSpec) CacheKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Options translates the spec into harness options. Runtime wiring
-// (context, recorder, progress sink) is attached by ExecuteSpec — it is
-// not part of the serializable spec. The sampler string has passed
-// Validate by the time Options runs, so the parse cannot fail; a zero
-// tier falls out of the empty string either way.
-func (s RunSpec) Options() Options {
-	tier, _ := randgen.ParseSamplerTier(s.Sampler)
-	return Options{
-		Iterations:  s.Iterations,
-		ScaleDiv:    s.ScaleDiv,
-		Seed:        s.Seed,
-		HostWorkers: s.Workers,
-		PSShards:    s.Shards,
-		PSStaleness: s.Staleness,
-		Machines:    s.Machines,
-		ChunkElems:  s.Chunk,
-		Sampler:     tier,
-		Dataset:     s.Dataset,
-		Trace:       s.Trace.Phases,
-		TraceOut:    s.Trace.Out,
-		TraceCSV:    s.Trace.CSV,
-		Metrics:     s.Trace.Metrics,
-		Faults:      s.Faults,
-	}
-}
-
 // ExecOptions is the runtime wiring for ExecuteSpec: everything a caller
 // may attach to a run that is not part of the run's identity.
 type ExecOptions struct {
@@ -327,54 +329,44 @@ type SpecResult struct {
 	Recorder *trace.Recorder
 }
 
+// ProgressEvent is one phase-barrier progress sample of a running cell.
+type ProgressEvent struct {
+	// Cell is the "figure/row/col" label of the running cell.
+	Cell string `json:"cell"`
+	// Phase is the simulation phase that just completed.
+	Phase string `json:"phase"`
+	// ClockSec is the cell's virtual clock after the barrier.
+	ClockSec float64 `json:"clock_sec"`
+}
+
 // ExecuteSpec validates, normalizes, and runs a spec. It is the single
 // execution path shared by the CLI, the experiment service, and the perf
 // gate; the returned table's bytes depend only on the spec's CacheKey
 // fields, never on ctx, the worker count, or the attached sinks.
 func ExecuteSpec(ctx context.Context, spec RunSpec, ex ExecOptions) (*SpecResult, error) {
 	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	f, err := spec.resolve()
+	if err != nil {
 		return nil, err
 	}
-	o := spec.Options()
-	o.Ctx = ctx
-	o.Progress = ex.Progress
-	o.Recorder = ex.Recorder
-	if o.Recorder == nil && o.wantTrace() {
-		o.Recorder = trace.NewRecorder()
+	if ex.Recorder == nil && spec.Trace.Enabled() {
+		ex.Recorder = trace.NewRecorder()
 	}
-	res := &SpecResult{Spec: spec, Recorder: o.Recorder}
-	f := FigureByID(spec.Figure, o)
-	if spec.Row != "" {
-		cell, err := runSingleCellIn(f, CellRef{Figure: spec.Figure, Row: spec.Row, Col: spec.Col}, o)
-		if err != nil {
-			return nil, err
-		}
-		res.Table = &Table{
-			ID:    spec.Figure,
-			Title: f.Title,
-			Rows:  []string{spec.Row},
-			Cols:  []string{spec.Col},
-			Cells: map[string]map[string]Cell{spec.Row: {spec.Col: cell}},
-		}
-	} else {
-		t, err := f.RunContext(ctx, o)
-		if err != nil {
-			return nil, err
-		}
-		res.Table = t
+	t, err := f.run(ctx, spec, ex)
+	if err != nil {
+		return nil, err
 	}
 	if !ex.SkipExports {
 		if spec.Trace.Out != "" {
-			if err := trace.WriteChromeFile(spec.Trace.Out, o.Recorder); err != nil {
+			if err := trace.WriteChromeFile(spec.Trace.Out, ex.Recorder); err != nil {
 				return nil, fmt.Errorf("bench: trace export: %w", err)
 			}
 		}
 		if spec.Trace.CSV != "" {
-			if err := trace.WriteCSVFile(spec.Trace.CSV, o.Recorder); err != nil {
+			if err := trace.WriteCSVFile(spec.Trace.CSV, ex.Recorder); err != nil {
 				return nil, fmt.Errorf("bench: trace CSV export: %w", err)
 			}
 		}
 	}
-	return res, nil
+	return &SpecResult{Spec: spec, Table: t, Recorder: ex.Recorder}, nil
 }

@@ -186,19 +186,27 @@ func TestRunSpecValidateActionable(t *testing.T) {
 }
 
 // ExecuteSpec is the single execution path: a cell spec must reproduce
-// exactly the cell Figure.Run computes, and the rendered 1x1 table must
-// be byte-stable across repeat executions and worker counts.
-func TestExecuteSpecCellMatchesFigureRun(t *testing.T) {
+// exactly the cell the whole-figure spec computes, and the rendered 1x1
+// table must be byte-stable across repeat executions and worker counts.
+func TestExecuteSpecCellMatchesFigureSpec(t *testing.T) {
 	spec := RunSpec{Figure: "fig6", Row: "Spark (Java)", Col: "5m", Iterations: 1, ScaleDiv: 0.02, Seed: 3}
 	res, err := ExecuteSpec(context.Background(), spec, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Iterations: 1, ScaleDiv: 0.02, Seed: 3}
-	want := FigureByID("fig6", o).Run(o).Cells["Spark (Java)"]["5m"]
+	whole := spec
+	whole.Row, whole.Col = "", ""
+	wres, err := ExecuteSpec(context.Background(), whole, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wres.Table.Cells["Spark (Java)"]["5m"]
 	got := res.Table.Cells["Spark (Java)"]["5m"]
 	if got.String() != want.String() {
-		t.Errorf("ExecuteSpec cell = %s, Figure.Run = %s", got, want)
+		t.Errorf("cell spec = %s, whole-figure spec = %s", got, want)
+	}
+	if len(res.Table.Rows) != 1 || len(res.Table.Cols) != 1 || res.Table.Title != wres.Table.Title {
+		t.Errorf("cell table shape: rows %v cols %v title %q", res.Table.Rows, res.Table.Cols, res.Table.Title)
 	}
 	spec2 := spec
 	spec2.Workers = 1
@@ -313,5 +321,71 @@ func TestExecuteSpecProgress(t *testing.T) {
 			t.Fatalf("clock went backwards: %v after %v", e.ClockSec, last)
 		}
 		last = e.ClockSec
+	}
+}
+
+// Every RunSpec knob is either cache-keyed or on the explicit host-side
+// list: walking the struct by reflection means a newly added field that
+// keyDoc/CacheKey forgot fails here instead of silently coalescing
+// different runs onto one cached table.
+func TestRunSpecCacheKeyCoversEveryField(t *testing.T) {
+	unkeyed := map[string]bool{"Workers": true, "Chunk": true, "Trace.Out": true, "Trace.CSV": true}
+	// Valid non-default values for the fields whose kind default below
+	// would not be valid.
+	values := map[string]any{
+		"Figure": "fig1a", "Row": "SimSQL", "Col": "GMM 100m",
+		"Sampler": "alias", "Dataset": "skew-light", "Machines": 1000,
+	}
+	base := RunSpec{Figure: "fig-scale"}
+	var walk func(typ reflect.Type, index []int, path string)
+	walk = func(typ reflect.Type, index []int, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			sf := typ.Field(i)
+			name, idx := path+sf.Name, append(index[:len(index):len(index)], i)
+			if sf.Type.Kind() == reflect.Struct {
+				walk(sf.Type, idx, name+".")
+				continue
+			}
+			spec := base
+			f := reflect.ValueOf(&spec).Elem().FieldByIndex(idx)
+			if v, ok := values[name]; ok {
+				f.Set(reflect.ValueOf(v))
+			} else {
+				switch f.Kind() {
+				case reflect.Bool:
+					f.SetBool(true)
+				case reflect.Int:
+					f.SetInt(3)
+				case reflect.Uint64:
+					f.SetUint(3)
+				case reflect.Float64:
+					f.SetFloat(2)
+				case reflect.String:
+					f.SetString("x")
+				default:
+					t.Fatalf("field %s (%s) needs an entry in values", name, f.Kind())
+				}
+			}
+			// A lone Row or Col is rejected by Validate, but the key must
+			// still tell it apart.
+			if name != "Row" && name != "Col" {
+				if err := spec.Validate(); err != nil {
+					t.Errorf("field %s: the test value is not valid: %v", name, err)
+					continue
+				}
+			}
+			changed := spec.CacheKey() != base.CacheKey()
+			if unkeyed[name] && changed {
+				t.Errorf("host-side field %s changes the cache key", name)
+			}
+			if !unkeyed[name] && !changed {
+				t.Errorf("field %s does not change the cache key: add it to keyDoc/CacheKey (and bump keyVersion), or to the unkeyed list if it cannot change a result", name)
+			}
+			delete(unkeyed, name)
+		}
+	}
+	walk(reflect.TypeOf(base), nil, "")
+	for name := range unkeyed {
+		t.Errorf("unkeyed list names %s, which is not a RunSpec field", name)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,12 +18,12 @@ func TestCellTraceClockIdentity(t *testing.T) {
 		platform := platform
 		t.Run(platform, func(t *testing.T) {
 			t.Parallel()
-			o := Options{Iterations: 2, Seed: 3, ScaleDiv: 0.1}
+			s := RunSpec{Iterations: 2, Seed: 3, ScaleDiv: 0.1}.Normalize()
 			rec := trace.NewRecorder()
-			o.Recorder = rec
-			run := fig7RunFn(o, platform)
+			run := fig7RunFn(s, platform)
 			rec.BeginCell(platform)
-			cl := newFaultCluster(5, gmmScale(10), o, nil, FaultConfig{}, "test")
+			cell := cellSpec{machines: 5, scale: gmmScale(10)}
+			cl := newCluster(context.Background(), cell, s, ExecOptions{Recorder: rec}, nil, FaultConfig{}, "test")
 			if _, err := run(cl); err != nil {
 				t.Fatal(err)
 			}
@@ -47,22 +48,22 @@ func TestCellTraceClockIdentity(t *testing.T) {
 // recovery span covering exactly the FaultInfo.RecoverySec overhead the
 // cell's notes report.
 func TestFaultTraceAccounting(t *testing.T) {
-	o := Options{Iterations: 2, Seed: 3, ScaleDiv: 0.1}
+	s := RunSpec{Iterations: 2, Seed: 3, ScaleDiv: 0.1}.Normalize()
 	fc := FaultConfig{Failures: 1}.withFaultDefaults()
-	run := fig7RunFn(o, "spark")
+	run := fig7RunFn(s, "spark")
+	cell := cellSpec{machines: 5, scale: gmmScale(10)}
 
 	// Clean probe run fixes the crash time, exactly as runCell does.
-	probe := newCluster(5, gmmScale(10), o)
+	probe := newCluster(context.Background(), cell, s, ExecOptions{}, nil, FaultConfig{}, "")
 	res, err := run(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := fc.schedule(res.InitSec, res.AvgIterSec(), o.Iterations, 5, o.Seed)
+	sched := fc.schedule(res.InitSec, res.AvgIterSec(), s.Iterations, 5, s.Seed)
 
 	rec := trace.NewRecorder()
-	o.Recorder = rec
 	rec.BeginCell("faulted")
-	cl := newFaultCluster(5, gmmScale(10), o, sched, fc, "test")
+	cl := newCluster(context.Background(), cell, s, ExecOptions{Recorder: rec}, sched, fc, "test")
 	if _, err := run(cl); err != nil {
 		t.Fatal(err)
 	}

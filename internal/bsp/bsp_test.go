@@ -379,20 +379,17 @@ func TestQuickMessageConservation(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		got := map[VertexID]int{}
+		// One slot per vertex: the two machines compute concurrently, and
+		// a shared map would race.
+		got := make([]int, nVerts)
 		if err := g.RunSuperstep(func(ctx *Context, v *Vertex, msgs []Msg) error {
 			got[v.ID] += len(msgs)
 			return nil
 		}); err != nil {
 			return false
 		}
-		for dst, n := range sent {
-			if got[dst] != n {
-				return false
-			}
-		}
 		for dst, n := range got {
-			if sent[dst] != n {
+			if sent[VertexID(dst)] != n {
 				return false
 			}
 		}

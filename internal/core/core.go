@@ -1,50 +1,43 @@
 // Package core is the public face of the benchmark — the paper's primary
 // contribution is the benchmark itself ("we hope that our efforts will
 // grow into a widely used, standard benchmark for this sort of
-// platform"), and this package exposes it as a programmatic API: the five
-// ML implementation tasks, the four platform engines they run on, and the
-// runner that regenerates every table of the paper's evaluation.
+// platform"), and this package exposes it as a programmatic API: one
+// serializable description of a run (RunSpec) and one way to execute it
+// (Execute), covering the five ML implementation tasks on the five
+// platform engines and every table of the paper's evaluation.
 //
 // Quick use:
 //
-//	opts := core.Options{Iterations: 2}
-//	table, err := core.RunFigure("fig1a", opts)
-//	fmt.Println(table.Render())
+//	spec := core.RunSpec{Figure: "fig1a", Iterations: 2}
+//	res, err := core.Execute(ctx, spec, core.ExecOptions{})
+//	fmt.Println(res.Table.Render())
 //
-// Observability: set Options.TraceOut (Chrome trace-event JSON for
-// chrome://tracing / Perfetto), Options.TraceCSV, or Options.Metrics to
-// capture a structured span/event/metric view of a run, or supply your
-// own Options.Recorder (see internal/trace) to aggregate several figures
-// into one export. Traces are deterministic: the same options produce
-// byte-identical files at any Options.HostWorkers value.
+// Observability: set RunSpec.Trace (Out: Chrome trace-event JSON for
+// chrome://tracing / Perfetto, CSV, Metrics, Phases) to capture a
+// structured span/event/metric view of a run, or supply your own
+// ExecOptions.Recorder (see internal/trace) to aggregate several figures
+// into one export. Traces are deterministic: the same spec produces
+// byte-identical files at any RunSpec.Workers value.
 //
 // Individual experiments are available through the task packages
 // (internal/tasks/...); the simulated platform substrates live in
 // internal/dataflow (Spark), internal/relational (SimSQL), internal/gas
-// (GraphLab) and internal/bsp (Giraph), all on top of the virtual
-// cluster in internal/sim.
+// (GraphLab), internal/bsp (Giraph) and internal/psengine (parameter
+// server), all on top of the virtual cluster in internal/sim.
 package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"mlbench/internal/bench"
 )
 
-// Options tunes a benchmark run; see bench.Options.
-type Options = bench.Options
-
 // Table is a rendered figure with measured and paper values.
 type Table = bench.Table
 
-// Cell is one measured table cell.
-type Cell = bench.Cell
-
 // FaultConfig configures deterministic fault injection — machine crashes,
 // stragglers, and the engines' checkpointing policies; see
-// bench.FaultConfig. Set it on Options.Faults (or Experiment.Faults).
+// bench.FaultConfig. Set it on RunSpec.Faults.
 type FaultConfig = bench.FaultConfig
 
 // RunSpec is the serializable description of one run — figure or single
@@ -81,106 +74,6 @@ func Execute(ctx context.Context, spec RunSpec, ex ExecOptions) (*SpecResult, er
 	return bench.ExecuteSpec(ctx, spec, ex)
 }
 
-// Experiment is one reproducible benchmark run: a figure plus the options
-// and fault schedule to run it with. The zero Faults value reproduces the
-// paper's failure-free runs; identical fields always produce
-// byte-identical tables.
-type Experiment struct {
-	// Figure is the figure ID to run (see FigureIDs; the fig7 family
-	// measures recovery under injected failures).
-	Figure string
-	// Options tunes the run; its Faults field is overridden by the
-	// Experiment's own Faults when that is active.
-	Options Options
-	// Faults injects machine crashes and stragglers into every cell.
-	Faults FaultConfig
-}
-
-// Spec translates the experiment into the equivalent serializable
-// RunSpec (the Options' runtime wiring — recorder, progress, context —
-// is not part of a spec).
-func (e Experiment) Spec() RunSpec {
-	opts := e.Options
-	if e.Faults.Active() {
-		opts.Faults = e.Faults
-	}
-	return RunSpec{
-		Figure:     e.Figure,
-		Iterations: opts.Iterations,
-		ScaleDiv:   opts.ScaleDiv,
-		Seed:       opts.Seed,
-		Workers:    opts.HostWorkers,
-		Shards:     opts.PSShards,
-		Staleness:  opts.PSStaleness,
-		Sampler:    opts.Sampler.String(),
-		Dataset:    opts.Dataset,
-		Faults:     opts.Faults,
-		Trace:      TraceSpec{Phases: opts.Trace, Out: opts.TraceOut, CSV: opts.TraceCSV, Metrics: opts.Metrics},
-	}
-}
-
-// Run executes the experiment and returns its table.
-func (e Experiment) Run() (*Table, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext executes the experiment under ctx: cancellation stops the
-// simulation mid-phase and returns an error wrapping context.Canceled.
-func (e Experiment) RunContext(ctx context.Context) (*Table, error) {
-	opts := e.Options
-	if e.Faults.Active() {
-		opts.Faults = e.Faults
-	}
-	f := bench.FigureByID(e.Figure, opts)
-	if f == nil {
-		return nil, fmt.Errorf("core: unknown figure %q (have %v)", e.Figure, FigureIDs())
-	}
-	return f.RunContext(ctx, opts)
-}
-
 // FigureIDs lists every runnable figure of the paper's evaluation, in
 // paper order.
-func FigureIDs() []string {
-	var ids []string
-	for _, f := range bench.Figures(Options{}) {
-		ids = append(ids, f.ID)
-	}
-	return ids
-}
-
-// RunFigure executes one figure of the evaluation and returns its table.
-func RunFigure(id string, opts Options) (*Table, error) {
-	f := bench.FigureByID(id, opts)
-	if f == nil {
-		return nil, fmt.Errorf("core: unknown figure %q (have %v)", id, FigureIDs())
-	}
-	return f.Run(opts), nil
-}
-
-// RunAll executes every figure and returns the tables in paper order.
-func RunAll(opts Options) []*Table {
-	var out []*Table
-	for _, f := range bench.Figures(opts) {
-		out = append(out, f.Run(opts))
-	}
-	return out
-}
-
-// Summary condenses a set of tables into per-figure agreement counts.
-type Summary struct {
-	Figure  string
-	Matched int
-	Total   int
-}
-
-// Summarize computes the per-figure agreement against the paper within
-// the given multiplicative factor.
-func Summarize(tables []*Table, factor float64) []Summary {
-	var out []Summary
-	for _, t := range tables {
-		m, n := t.Agreement(factor)
-		out = append(out, Summary{Figure: t.ID, Matched: m, Total: n})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Figure < out[j].Figure })
-	return out
-}
+func FigureIDs() []string { return bench.FigureIDs() }

@@ -18,12 +18,12 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(m *sim.Meter, a
 	}
 	out.wide = func() error {
 		return runShuffle(r, out,
-			func(m *sim.Meter, dst *omap[K, V], kv Pair[K, V]) {
-				dst.merge(kv.K, kv.V, func(old, new V) V { return f(m, old, new) })
+			func(m *sim.Meter, dst *ordmap.Map[K, V], kv Pair[K, V]) {
+				dst.Merge(kv.K, kv.V, func(old, new V) V { return f(m, old, new) })
 			},
 			func(m *sim.Meter, a, b V) V { return f(m, a, b) },
 			func(k K, a V) int64 { return r.sizer(Pair[K, V]{K: k, V: a}) },
-			func(o *omap[K, V]) []Pair[K, V] { return o.pairs() },
+			pairsOf[K, V],
 		)
 	}
 	return out
@@ -47,15 +47,22 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 	}
 	out.wide = func() error {
 		return runShuffle(r, out,
-			func(m *sim.Meter, dst *omap[K, []V], kv Pair[K, V]) {
-				old, _ := dst.get(kv.K)
-				dst.set(kv.K, append(old, kv.V))
+			func(m *sim.Meter, dst *ordmap.Map[K, []V], kv Pair[K, V]) {
+				old, _ := dst.Get(kv.K)
+				dst.Set(kv.K, append(old, kv.V))
 			},
 			func(m *sim.Meter, a, b []V) []V { return append(a, b...) },
 			elems,
-			func(o *omap[K, []V]) []Pair[K, []V] { return o.pairs() },
+			pairsOf[K, []V],
 		)
 	}
+	return out
+}
+
+// pairsOf returns the map's entries in insertion order.
+func pairsOf[K comparable, V any](o *ordmap.Map[K, V]) []Pair[K, V] {
+	out := make([]Pair[K, V], 0, o.Len())
+	o.Each(func(k K, v V) { out = append(out, Pair[K, V]{K: k, V: v}) })
 	return out
 }
 
@@ -86,16 +93,16 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 			left  []V
 			right []W
 		}
-		reducers := make([]*omap[K, *sides], out.parts)
+		reducers := make([]*ordmap.Map[K, *sides], out.parts)
 		bufBytes := make([]int64, out.parts)
 		for i := range reducers {
-			reducers[i] = newOmap[K, *sides]()
+			reducers[i] = ordmap.New[K, *sides]()
 		}
-		getSides := func(o *omap[K, *sides], k K) *sides {
-			s, ok := o.get(k)
+		getSides := func(o *ordmap.Map[K, *sides], k K) *sides {
+			s, ok := o.Get(k)
 			if !ok {
 				s = &sides{}
-				o.set(k, s)
+				o.Set(k, s)
 			}
 			return s
 		}
@@ -177,7 +184,7 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 			}
 			defer m.Machine().Free(bufBytes[p])
 			var res []Pair[K, Two[V, W]]
-			reducers[p].each(func(k K, s *sides) {
+			reducers[p].Each(func(k K, s *sides) {
 				for _, v := range s.left {
 					for _, w := range s.right {
 						res = append(res, Pair[K, Two[V, W]]{K: k, V: Two[V, W]{A: v, B: w}})
@@ -204,20 +211,20 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 func runShuffle[K comparable, V, A, O any](
 	in *RDD[Pair[K, V]],
 	out *RDD[O],
-	fold func(m *sim.Meter, dst *omap[K, A], kv Pair[K, V]),
+	fold func(m *sim.Meter, dst *ordmap.Map[K, A], kv Pair[K, V]),
 	mergeAcc func(m *sim.Meter, a, b A) A,
 	accBytes func(K, A) int64,
-	finish func(*omap[K, A]) []O,
+	finish func(*ordmap.Map[K, A]) []O,
 ) error {
 	c := in.ctx.cluster
 	cost := c.Config().Cost
 	t0 := c.Now()
 	c.AdvanceNamed("spark-job-launch", cost.SparkJobLaunch)
 
-	reducers := make([]*omap[K, A], out.parts)
+	reducers := make([]*ordmap.Map[K, A], out.parts)
 	partialBytes := make([]int64, out.parts) // pre-merge resident partials per reducer
 	for i := range reducers {
-		reducers[i] = newOmap[K, A]()
+		reducers[i] = ordmap.New[K, A]()
 	}
 	// Map side: compute input partitions, combine locally per target, ship.
 	// The per-target combiner maps stay task-local; folding them into the
@@ -231,23 +238,23 @@ func runShuffle[K comparable, V, A, O any](
 	// the phase — ruinous at the 80,000 partitions of a 10,000-machine
 	// sweep. Targets are visited in ascending order (sorted keys) so the
 	// ship/merge sequence is bit-identical to the dense layout's.
-	locals := make([]*ordmap.Map[int, *omap[K, A]], in.parts)
+	locals := make([]*ordmap.Map[int, *ordmap.Map[K, A]], in.parts)
 	mapTasks := in.partTasks(func(p int, m *sim.Meter) error {
 		data, err := in.partition(p, m)
 		if err != nil {
 			return err
 		}
 		in.chargeTuples(m, len(data))
-		local := ordmap.New[int, *omap[K, A]]()
+		local := ordmap.New[int, *ordmap.Map[K, A]]()
 		for _, kv := range data {
 			t := int(hashKey(kv.K) % uint64(out.parts))
-			fold(m, local.GetOrInsert(t, func() *omap[K, A] { return newOmap[K, A]() }), kv)
+			fold(m, local.GetOrInsert(t, func() *ordmap.Map[K, A] { return ordmap.New[K, A]() }), kv)
 		}
 		var wrote int64
 		for _, t := range sortedTargets(local) {
 			l, _ := local.Get(t)
 			dstMachine := in.ctx.machineFor(t)
-			l.each(func(k K, a A) {
+			l.Each(func(k K, a A) {
 				b := accBytes(k, a)
 				wrote += b
 				// Post-combine partials have the output's cardinality:
@@ -270,9 +277,9 @@ func runShuffle[K comparable, V, A, O any](
 		mapTasks[p].Merge = func(m *sim.Meter) error {
 			for _, t := range sortedTargets(locals[p]) {
 				l, _ := locals[p].Get(t)
-				l.each(func(k K, a A) {
+				l.Each(func(k K, a A) {
 					partialBytes[t] += accBytes(k, a)
-					reducers[t].merge(k, a, func(old, new A) A { return mergeAcc(m, old, new) })
+					reducers[t].Merge(k, a, func(old, new A) A { return mergeAcc(m, old, new) })
 				})
 			}
 			locals[p] = nil
@@ -300,9 +307,9 @@ func runShuffle[K comparable, V, A, O any](
 		}
 		defer m.Machine().Free(bufBytes)
 		if out.scaled {
-			m.ChargeTuples(red.size())
+			m.ChargeTuples(red.Len())
 		} else {
-			m.ChargeTuplesAbs(float64(red.size()))
+			m.ChargeTuplesAbs(float64(red.Len()))
 		}
 		mat[p] = finish(red)
 		return nil

@@ -1,6 +1,7 @@
 package perfgate
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,11 +12,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden figure snapshots under testdata/golden/")
 
-// goldenOpts are the fixed options every golden snapshot is recorded
-// under. Changing any of them invalidates every golden file — regenerate
-// with -update and review the diff.
-func goldenOpts(workers int) bench.Options {
-	return bench.Options{Iterations: 1, Seed: 1, ScaleDiv: GateScaleDiv, HostWorkers: workers}
+// goldenSpec is the fixed spec every golden snapshot is recorded under.
+// Changing any cache-keyed field of it invalidates every golden file —
+// regenerate with -update and review the diff.
+func goldenSpec(id string, workers int) bench.RunSpec {
+	return bench.RunSpec{Figure: id, Iterations: 1, Seed: 1, ScaleDiv: GateScaleDiv, Workers: workers}
 }
 
 func goldenPath(id string) string {
@@ -36,17 +37,15 @@ func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep; run without -short (the CI test and benchgate jobs do)")
 	}
-	for _, f := range bench.Figures(goldenOpts(1)) {
-		id := f.ID
+	for _, id := range bench.FigureIDs() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			snap := func(workers int) string {
-				o := goldenOpts(workers)
-				fig := bench.FigureByID(id, o)
-				if fig == nil {
-					t.Fatalf("figure %s not registered", id)
+				res, err := bench.ExecuteSpec(context.Background(), goldenSpec(id, workers), bench.ExecOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return SnapshotCSV(fig.Run(o))
+				return SnapshotCSV(res.Table)
 			}
 			got := snap(1)
 			if par := snap(8); par != got {

@@ -343,24 +343,24 @@ func datagenCorpusSpec() Spec {
 }
 
 // CellSpecs returns one spec per runnable figure cell at the gate's
-// reduced scale: one op = the cell's full simulated run. Expected Fail
-// cells (the paper's OOM entries) still measure — the wall time of
-// reaching the OOM is as gateable as any other. The spec's Figure, cell
-// selection, and trace fields are ignored: the gate enumerates every
-// runnable cell, untraced.
+// reduced scale: one op = the cell's full simulated run through
+// bench.ExecuteSpec. Expected Fail cells (the paper's OOM entries) still
+// measure — the wall time of reaching the OOM is as gateable as any
+// other. The spec's Figure, cell selection, and trace fields are ignored:
+// the gate enumerates every runnable cell, untraced.
 func CellSpecs(rs bench.RunSpec) []Spec {
-	o := rs.Options()
-	o.Trace, o.TraceOut, o.TraceCSV, o.Metrics = false, "", "", false
-	refs := bench.RunnableCellRefs(o)
+	rs.Trace = bench.TraceSpec{}
+	refs := bench.RunnableCellRefs(rs.Options())
 	specs := make([]Spec, 0, len(refs))
 	for _, ref := range refs {
-		ref := ref
+		cell := rs
+		cell.Figure, cell.Row, cell.Col = ref.Figure, ref.Row, ref.Col
 		specs = append(specs, Spec{
 			Name: "cell:" + ref.String(),
 			N:    1,
 			Run: func(n int) error {
 				for i := 0; i < n; i++ {
-					if _, err := bench.RunSingleCell(context.Background(), ref, o); err != nil {
+					if _, err := bench.ExecuteSpec(context.Background(), cell, bench.ExecOptions{}); err != nil {
 						return err
 					}
 				}

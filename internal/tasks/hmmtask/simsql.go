@@ -25,7 +25,6 @@ type docStateVG struct {
 	cfg   Config
 	model *hmm.Model
 	iter  int
-	sc    hmm.Scratch
 }
 
 func (v *docStateVG) Name() string { return "doc_state_resample" }
@@ -41,7 +40,9 @@ func (v *docStateVG) Apply(m relational.VGMeter, rows []relational.Tuple) []rela
 		states[pos] = int(t.Int(3))
 	}
 	m.ChargeOps(len(rows)/2, hmm.StateFlopsTier(v.cfg.Sampler, v.cfg.K), 1)
-	v.model.ResampleStatesTier(m.RNG(), words, states, v.iter, v.cfg.Sampler, &v.sc)
+	// One VG instance serves every machine's concurrent Apply calls, so
+	// it cannot own a Scratch; nil makes each call allocate its own.
+	v.model.ResampleStatesTier(m.RNG(), words, states, v.iter, v.cfg.Sampler, nil)
 	out := make([]relational.Tuple, len(rows))
 	docID := rows[0].Float(0)
 	for pos := range words {
