@@ -23,18 +23,22 @@ func Cholesky(m *Mat) (*Mat, error) {
 	n := m.Rows
 	l := NewMat(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := m.Data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l.Data[i*n+k] * l.Data[j*n+k]
+		li := l.Data[i*n : i*n+i+1]
+		mi := m.Data[i*n : i*n+i+1]
+		for j := range li {
+			lj := l.Data[j*n : j*n+j+1]
+			s := mi[j]
+			lik := li[:j]
+			for k, v := range lj[:j] {
+				s -= lik[k] * v
 			}
 			if i == j {
 				if s <= 0 {
 					return nil, ErrNotSPD
 				}
-				l.Data[i*n+i] = math.Sqrt(s)
+				li[j] = math.Sqrt(s)
 			} else {
-				l.Data[i*n+j] = s / l.Data[j*n+j]
+				li[j] = s / lj[j]
 			}
 		}
 	}

@@ -262,16 +262,83 @@ func (m *Mat) AddOuter(scale float64, v, w Vec) *Mat {
 	checkLen(m.Rows, len(v))
 	checkLen(m.Cols, len(w))
 	for r, a := range v {
-		f := scale * a
-		if f == 0 {
+		addScaled(m.Data[r*m.Cols:(r+1)*m.Cols], scale*a, w)
+	}
+	return m
+}
+
+// AddGram sets m = m + sum_k xs[k] * xs[k]^T for a symmetric m and returns
+// m: the Gram-matrix fold of a block of observations. It is bit-identical
+// to calling AddOuter(1, x, x) for each x in order — every entry still
+// receives its products one point at a time, in point order, and a zero
+// coefficient is skipped as AddOuter skips it — but it accumulates only
+// the lower triangle, four points per sweep of a row, and then mirrors
+// it. Entries no point touches are never written, so an empty block or a
+// block of all-zero points leaves m's memory untouched.
+func (m *Mat) AddGram(xs []Vec) *Mat {
+	n := m.Rows
+	checkLen(n, m.Cols)
+	for _, x := range xs {
+		checkLen(n, len(x))
+	}
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		x0, x1, x2, x3 := xs[k], xs[k+1], xs[k+2], xs[k+3]
+		for i := 0; i < n; i++ {
+			row := m.Data[i*n : i*n+i+1]
+			a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for _, x := range xs[k : k+4] {
+					addScaled(row, x[i], x)
+				}
+				continue
+			}
+			y0, y1, y2, y3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
+			for j, s := range row {
+				s += a0 * y0[j]
+				s += a1 * y1[j]
+				s += a2 * y2[j]
+				s += a3 * y3[j]
+				row[j] = s
+			}
+		}
+	}
+	for _, x := range xs[k:] {
+		for i := 0; i < n; i++ {
+			addScaled(m.Data[i*n:i*n+i+1], x[i], x)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if !anyNonzero(xs, i) {
 			continue
 		}
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, b := range w {
-			row[c] += f * b
+		for j, v := range m.Data[i*n : i*n+i] {
+			m.Data[j*n+i] = v
 		}
 	}
 	return m
+}
+
+// addScaled sets row = row + a*x[:len(row)], skipping a zero coefficient
+// entirely.
+func addScaled(row []float64, a float64, x Vec) {
+	if a == 0 {
+		return
+	}
+	x = x[:len(row)]
+	for j := range row {
+		row[j] += a * x[j]
+	}
+}
+
+// anyNonzero reports whether some x in xs has a non-zero entry i.
+func anyNonzero(xs []Vec, i int) bool {
+	for _, x := range xs {
+		if x[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Row returns row r of m as a Vec sharing m's storage.

@@ -58,6 +58,10 @@ func SampleInvTau2(rng *randgen.RNG, h Hyper, s *State) {
 
 // SampleBeta draws beta ~ Normal(A^{-1} X^T y, sigma^2 A^{-1}) where
 // A = X^T X + D_tau^{-1}, given the precomputed Gram matrix and X^T y.
+// It works in precision form: with A = L L^T factored once, the mean is
+// L^{-T} L^{-1} X^T y and beta = mean + sigma L^{-T} z for z ~ N(0, I),
+// since L^{-T} z has covariance (L L^T)^{-1} = A^{-1}. No inverse and no
+// second factorization is formed.
 func SampleBeta(rng *randgen.RNG, s *State, xtx *linalg.Mat, xty linalg.Vec) error {
 	p := len(s.Beta)
 	a := xtx.Clone()
@@ -68,13 +72,16 @@ func SampleBeta(rng *randgen.RNG, s *State, xtx *linalg.Mat, xty linalg.Vec) err
 	if err != nil {
 		return fmt.Errorf("lasso: posterior precision: %w", err)
 	}
-	mean := linalg.CholSolve(aL, xty)
-	cov := linalg.CholInverse(aL).ScaleInPlace(s.Sigma2)
-	covL, err := choleskyJittered(cov.Symmetrize())
-	if err != nil {
-		return fmt.Errorf("lasso: posterior covariance: %w", err)
+	beta := linalg.CholSolve(aL, xty)
+	z := make(linalg.Vec, p)
+	for j := range z {
+		z[j] = rng.Norm()
 	}
-	s.Beta = rng.MVNormalChol(mean, covL)
+	sigma := math.Sqrt(s.Sigma2)
+	for j, d := range linalg.SolveUpperT(aL, z) {
+		beta[j] += sigma * d
+	}
+	s.Beta = beta
 	return nil
 }
 
@@ -116,8 +123,11 @@ func SampleSigma2(rng *randgen.RNG, s *State, n float64, sse float64) {
 	s.Sigma2 = rng.InvGamma(shape, scale)
 }
 
-// BetaFlops approximates the floating-point work of SampleBeta
-// (Cholesky factorization and solves at dimension p).
+// BetaFlops is the simulated flop charge of one beta draw at dimension p.
+// It prices the paper platforms' draw — a Cholesky factorization of the
+// precision, its inverse, and a second factorization of the covariance —
+// and is deliberately independent of the host algorithm SampleBeta uses,
+// so the virtual clock does not move when the host kernel changes.
 func BetaFlops(p int) float64 { return 4 * float64(p) * float64(p) * float64(p) }
 
 // GramFlops approximates the work of accumulating one data point's

@@ -158,6 +158,74 @@ func TestShrinkageGrowsWithLambda(t *testing.T) {
 	}
 }
 
+// TestSampleBetaWhitenedGoF certifies the precision-form draw against its
+// target Normal(A^{-1} X^T y, sigma^2 A^{-1}): with A = L L^T, every draw
+// whitened as z = L^T (beta - mu) / sigma must be N(0, I). Drawing the
+// deviation as L^{-1} z instead of L^{-T} z fails this test.
+func TestSampleBetaWhitenedGoF(t *testing.T) {
+	const (
+		p      = 4
+		n      = 4000
+		sigma2 = 2.5
+	)
+	// Precision A = xtx + diag(invTau2), strongly non-diagonal.
+	xtx := linalg.NewMat(p, p)
+	xtx.AddOuter(1, linalg.Vec{2, 1, -1, 0.5}, linalg.Vec{2, 1, -1, 0.5})
+	xtx.AddOuter(1, linalg.Vec{0, 1.5, 1, -2}, linalg.Vec{0, 1.5, 1, -2})
+	xtx.AddOuter(1, linalg.Vec{1, -1, 2, 1}, linalg.Vec{1, -1, 2, 1})
+	invTau2 := linalg.Vec{0.3, 0.5, 0.2, 0.4}
+	xty := linalg.Vec{1, -2, 0.5, 3}
+	a := xtx.Clone()
+	for j := range invTau2 {
+		a.Set(j, j, a.At(j, j)+invTau2[j])
+	}
+	l, err := linalg.Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu := linalg.CholSolve(l, xty)
+	sigma := math.Sqrt(sigma2)
+
+	rng := randgen.New(29)
+	s := Init(p)
+	z := make([][]float64, p)
+	for j := range z {
+		z[j] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		copy(s.InvTau2, invTau2)
+		s.Sigma2 = sigma2
+		if err := SampleBeta(rng, s, xtx, xty); err != nil {
+			t.Fatal(err)
+		}
+		d := s.Beta.Sub(mu)
+		for j := 0; j < p; j++ { // (L^T d)_j = sum_{k>=j} L[k][j] d[k]
+			var w float64
+			for k := j; k < p; k++ {
+				w += l.At(k, j) * d[k]
+			}
+			z[j][i] = w / sigma
+		}
+	}
+	stdNormCDF := func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+	for j := range z {
+		if d := randgen.KSStat(z[j], stdNormCDF); d > randgen.KSCritical(n) {
+			t.Errorf("whitened component %d: KS D = %.4f > %.4f", j, d, randgen.KSCritical(n))
+		}
+	}
+	for j := 0; j < p; j++ {
+		for k := j + 1; k < p; k++ {
+			var dot float64
+			for i := 0; i < n; i++ {
+				dot += z[j][i] * z[k][i]
+			}
+			if r := dot / n; math.Abs(r) > 0.06 {
+				t.Errorf("whitened components %d,%d correlated: r = %.4f", j, k, r)
+			}
+		}
+	}
+}
+
 func TestFlopsEstimates(t *testing.T) {
 	if BetaFlops(10) <= 0 || GramFlops(10) != 100 {
 		t.Errorf("flop estimates wrong: %v %v", BetaFlops(10), GramFlops(10))

@@ -59,3 +59,11 @@ func TestStreamSubstrateAllocCeilings(t *testing.T) {
 			perPhase, perPhase/machines, 5*machines)
 	}
 }
+
+// The Lasso Gram fold runs once per observation: it must not allocate.
+func TestGramFoldAllocCeiling(t *testing.T) {
+	spec := gramFoldSpec()
+	if a := testing.AllocsPerRun(5, func() { _ = spec.Run(100) }); a != 0 {
+		t.Errorf("folding 100 observations cost %.0f allocs, ceiling 0", a)
+	}
+}

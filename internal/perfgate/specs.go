@@ -144,7 +144,9 @@ func aliasDrawSpec() Spec {
 }
 
 // gramFoldSpec: one op = folding one observation into the Lasso
-// initialization statistics (X^T X outer product plus X^T y), p=64.
+// initialization statistics (X^T X plus X^T y), p=64. Observations are
+// folded a 32-point block at a time through AddGram, as the Lasso tasks
+// fold a machine's points.
 func gramFoldSpec() Spec {
 	const p = 64
 	rng := randgen.New(11)
@@ -156,11 +158,13 @@ func gramFoldSpec() Spec {
 		N:      20_000,
 		Warmup: 1,
 		Run: func(n int) error {
-			for i := 0; i < n; i++ {
-				x := data.X[i%len(data.X)]
-				xtx.AddOuter(1, x, x)
-				for j := range x {
-					xty[j] += x[j] * data.Y[i%len(data.Y)]
+			for done := 0; done < n; done += len(data.X) {
+				block := data.X[:min(len(data.X), n-done)]
+				xtx.AddGram(block)
+				for i, x := range block {
+					for j := range x {
+						xty[j] += x[j] * data.Y[i]
+					}
 				}
 			}
 			Sink += xty[0]

@@ -144,7 +144,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			g := localGram(single, cfg.P)
 			ctx.Send(modelVID, &miscMsg{xty: g.xty, colSum: g.colSum, ySum: g.ySum, n: g.n}, rowBytes*2)
 		case *bspBlockVtx:
-			m.ChargeBulk(float64(len(d.d.X)) * gramFlops(cfg.P))
+			m.ChargeBulk(float64(len(d.d.X)) * lasso.GramFlops(cfg.P))
 			emit(localGram(d.d, cfg.P))
 		}
 		return nil
@@ -211,7 +211,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			if d, ok := v.Data.(*bspModelVtx); ok {
 				m := ctx.Meter()
 				m.ChargeLinalgAbs(cfg.P, 8, 1)
-				m.ChargeBulkSerialAbs(betaDrawFlops(cfg.P))
+				m.ChargeBulkSerialAbs(lasso.BetaFlops(cfg.P))
 				lasso.SampleInvTau2(rng, h, d.state)
 				if err := lasso.SampleBeta(rng, d.state, xtx, xty); err != nil {
 					return err

@@ -133,7 +133,7 @@ func (p *lassoProg) Apply(m *sim.Meter, v *gas.Vertex, acc any) {
 			copy(d.state.InvTau2, gv.invTau2)
 		}
 		d.sse = gv.sse * p.scale
-		m.ChargeBulkSerialAbs(betaDrawFlops(cfg.P))
+		m.ChargeBulkSerialAbs(lasso.BetaFlops(cfg.P))
 		if err := lasso.SampleBeta(p.rng, d.state, p.xtx, p.xty); err == nil {
 			lasso.SampleSigma2(p.rng, d.state, p.n, d.sse)
 		}
@@ -217,7 +217,7 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	acc := localGramZero(cfg.P)
 	if _, err := g.MapReduceVertices(int64(8*cfg.P*cfg.P), func(m *sim.Meter, v *gas.Vertex) any {
 		if sv, ok := v.Data.(*lassoSV); ok {
-			m.ChargeBulk(float64(len(sv.d.X)) * gramFlops(cfg.P))
+			m.ChargeBulk(float64(len(sv.d.X)) * lasso.GramFlops(cfg.P))
 			part := localGram(sv.d, cfg.P)
 			return &part
 		}

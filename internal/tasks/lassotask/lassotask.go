@@ -86,8 +86,8 @@ type gramPartial struct {
 // the virtual cost).
 func localGram(d *workload.RegressionData, p int) gramPartial {
 	g := gramPartial{xtx: linalg.NewMat(p, p), xty: linalg.NewVec(p), colSum: linalg.NewVec(p)}
+	g.xtx.AddGram(d.X)
 	for i, x := range d.X {
-		g.xtx.AddOuter(1, x, x)
 		for j := range x {
 			g.xty[j] += x[j] * d.Y[i]
 			g.colSum[j] += x[j]
@@ -129,13 +129,6 @@ func sseOf(d *workload.RegressionData, beta linalg.Vec, yBar float64) float64 {
 	}
 	return s
 }
-
-// gramFlops is the per-point flop count of the Gram accumulation.
-func gramFlops(p int) float64 { return float64(p) * float64(p) }
-
-// betaDrawFlops is the flop count of the posterior beta draw (Cholesky,
-// inverse and sampling at dimension P).
-func betaDrawFlops(p int) float64 { return 4 * float64(p) * float64(p) * float64(p) }
 
 // chainPoint is the per-iteration quality statistic shared by all four
 // Lasso implementations: the recovery error of the current coefficient

@@ -50,14 +50,14 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 	err = eng.Reduce("lasso-ps-gram",
 		func(w int, m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
-			m.ChargeBulk(float64(len(machineData[w].X)) * gramFlops(cfg.P))
+			m.ChargeBulk(float64(len(machineData[w].X)) * lasso.GramFlops(cfg.P))
 			m.SendModel(0, gramBytes)
 			return nil
 		},
 		func(w int, m *sim.Meter) error {
 			d := machineData[w]
+			g.xtx.AddGram(d.X)
 			for i, x := range d.X {
-				g.xtx.AddOuter(1, x, x)
 				for j := range x {
 					g.xty[j] += x[j] * d.Y[i]
 					g.colSum[j] += x[j]
@@ -109,7 +109,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 			PushBytes: 8,
 			Setup: func(m *sim.Meter) error {
 				m.ChargeLinalgAbs(cfg.P, 8, 1)
-				m.ChargeBulkSerialAbs(betaDrawFlops(cfg.P))
+				m.ChargeBulkSerialAbs(lasso.BetaFlops(cfg.P))
 				lasso.SampleInvTau2(rng, h, state)
 				if err := lasso.SampleBeta(rng, state, xtx, xty); err != nil {
 					return err

@@ -154,7 +154,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			// A = XtX + D_tau^{-1} materialized tuple-at-a-time.
 			m.ChargeTuplesAbs(float64(cfg.P * cfg.P))
 			m.SetProfile(sim.ProfileCPP)
-			m.ChargeBulkAbs(betaDrawFlops(cfg.P))
+			m.ChargeBulkAbs(lasso.BetaFlops(cfg.P))
 			return lasso.SampleBeta(rng, state, xtx, xty)
 		})
 		if err != nil {

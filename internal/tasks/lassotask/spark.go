@@ -114,8 +114,8 @@ func RunSpark(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		// "most of the code of the main loop ... is run locally").
 		err = cl.RunDriver("lasso-tau-beta", func(m *sim.Meter) error {
 			m.SetProfile(profile)
-			m.ChargeLinalgAbs(cfg.P, 8, 1)        // inverse-Gaussian draws
-			m.ChargeBulkAbs(betaDrawFlops(cfg.P)) // NumPy Cholesky + solve
+			m.ChargeLinalgAbs(cfg.P, 8, 1)          // inverse-Gaussian draws
+			m.ChargeBulkAbs(lasso.BetaFlops(cfg.P)) // NumPy Cholesky + solve
 			lasso.SampleInvTau2(rng, h, state)
 			return lasso.SampleBeta(rng, state, xtx, xty)
 		})
