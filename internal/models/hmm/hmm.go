@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"mlbench/internal/linalg"
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/randgen"
 )
 
@@ -128,8 +129,9 @@ func (m *Model) ResampleStatesScratch(rng *randgen.RNG, words, states []int, ite
 // position's state (K weights, three factors each).
 func StateFlops(k int) float64 { return 4 * float64(k) }
 
-// Counts aggregates the statistics the model updates need: f(w,s) word
-// emissions, g(s) start states and h(s,s') transitions.
+// Counts is a receiver's dense total of the statistics the model updates
+// need: f(w,s) word emissions, g(s) start states and h(s,s')
+// transitions. Senders build a Partial and Fold it in.
 type Counts struct {
 	K, V  int
 	Emit  []linalg.Vec // K x V: f(w, s)
@@ -147,33 +149,60 @@ func NewCounts(k, v int) *Counts {
 	return c
 }
 
-// Accumulate absorbs one document's assignments with the given weight.
-func (c *Counts) Accumulate(words, states []int, weight float64) {
-	if len(words) == 0 {
-		return
-	}
-	c.Start[states[0]] += weight
-	for i, w := range words {
-		c.Emit[states[i]][w] += weight
-		if i+1 < len(states) {
-			c.Trans[states[i]][states[i+1]] += weight
-		}
-	}
-}
-
-// Merge folds other into c.
-func (c *Counts) Merge(o *Counts) {
-	o.Start.AddTo(c.Start)
-	for s := 0; s < c.K; s++ {
-		o.Emit[s].AddTo(c.Emit[s])
-		o.Trans[s].AddTo(c.Trans[s])
-	}
-}
-
 // Bytes returns the simulated size of the counts (the aggregation payload
 // each worker ships: roughly K*V + K*K + K doubles).
 func (c *Counts) Bytes() int64 {
 	return int64(8 * (c.K*c.V + c.K*c.K + c.K))
+}
+
+// Fold adds a sender's partial into the total.
+func (c *Counts) Fold(p *Partial) {
+	for s := 0; s < c.K; s++ {
+		c.Start[s] += p.head[s]
+		for t, x := range p.head[c.K*(s+1) : c.K*(s+2)] {
+			c.Trans[s][t] += x
+		}
+	}
+	p.emit.AddTo(c.Emit)
+}
+
+// Partial is one sender's statistics (a document, block, partition or
+// worker). g and h are only K + K² values and stay dense; the emissions
+// are a sparse partial holding the (state, word) entries its tokens
+// touched, which is what keeps a document's partial near its length
+// instead of K×V.
+type Partial struct {
+	k    int
+	head []float64 // g(s) at [0, k), then h(s, t) at k + s*k + t
+	emit *sparse.Counts
+}
+
+// NewPartial returns an empty partial for k states over a v-word
+// vocabulary.
+func NewPartial(k, v int) *Partial {
+	return &Partial{k: k, head: make([]float64, k+k*k), emit: sparse.New(v)}
+}
+
+// Accumulate absorbs one document's assignments with the given weight.
+func (p *Partial) Accumulate(words, states []int, weight float64) {
+	if len(words) == 0 {
+		return
+	}
+	p.head[states[0]] += weight
+	for i, w := range words {
+		p.emit.Add(states[i], w, weight)
+		if i+1 < len(states) {
+			p.head[p.k*(states[i]+1)+states[i+1]] += weight
+		}
+	}
+}
+
+// Merge adds o into p.
+func (p *Partial) Merge(o *Partial) {
+	for i, x := range o.head {
+		p.head[i] += x
+	}
+	p.emit.Merge(o.emit)
 }
 
 // UpdateModel draws the next model from the Dirichlet conditionals given

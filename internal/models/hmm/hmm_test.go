@@ -92,11 +92,25 @@ func TestResampleStatesValidRange(t *testing.T) {
 	}
 }
 
+// total folds partials into a fresh dense total.
+func total(k, v int, ps ...*Partial) *Counts {
+	c := NewCounts(k, v)
+	for _, p := range ps {
+		c.Fold(p)
+	}
+	return c
+}
+
 func TestCountsAccumulate(t *testing.T) {
-	c := NewCounts(2, 5)
+	p := NewPartial(2, 5)
 	words := []int{0, 3, 3}
 	states := []int{1, 0, 1}
-	c.Accumulate(words, states, 1)
+	p.Accumulate(words, states, 1)
+	p.Accumulate(nil, nil, 1) // an empty document is a no-op
+	if p.emit.Len() != 3 {
+		t.Errorf("touched %d emission entries, want 3", p.emit.Len())
+	}
+	c := total(2, 5, p)
 	if c.Start[1] != 1 || c.Start[0] != 0 {
 		t.Errorf("Start = %v", c.Start)
 	}
@@ -107,25 +121,23 @@ func TestCountsAccumulate(t *testing.T) {
 		t.Errorf("Trans = %v", c.Trans)
 	}
 	// Weighted accumulation.
-	c2 := NewCounts(2, 5)
-	c2.Accumulate(words, states, 3)
-	if c2.Start[1] != 3 {
+	p2 := NewPartial(2, 5)
+	p2.Accumulate(words, states, 3)
+	if c2 := total(2, 5, p2); c2.Start[1] != 3 {
 		t.Errorf("weighted Start = %v", c2.Start)
 	}
-	// Empty document is a no-op.
-	c.Accumulate(nil, nil, 1)
 	if c.Bytes() <= 0 {
 		t.Error("Bytes not positive")
 	}
 }
 
 func TestCountsMerge(t *testing.T) {
-	a, b := NewCounts(2, 3), NewCounts(2, 3)
+	a, b := NewPartial(2, 3), NewPartial(2, 3)
 	a.Accumulate([]int{0, 1}, []int{0, 1}, 1)
 	b.Accumulate([]int{2}, []int{1}, 1)
 	a.Merge(b)
-	if a.Emit[1][2] != 1 || a.Start[0] != 1 || a.Start[1] != 1 {
-		t.Errorf("merge wrong: %+v", a)
+	if c := total(2, 3, a); c.Emit[1][2] != 1 || c.Start[0] != 1 || c.Start[1] != 1 {
+		t.Errorf("merge wrong: %+v", c)
 	}
 }
 
@@ -182,12 +194,12 @@ func TestGibbsLearnsPlantedStructure(t *testing.T) {
 	}
 	first := ll()
 	for iter := 0; iter < 40; iter++ {
-		c := NewCounts(2, 4)
+		p := NewPartial(2, 4)
 		for d := range docs {
 			m.ResampleStates(rng, docs[d], states[d], iter)
-			c.Accumulate(docs[d], states[d], 1)
+			p.Accumulate(docs[d], states[d], 1)
 		}
-		m.UpdateModel(rng, h, c)
+		m.UpdateModel(rng, h, total(2, 4, p))
 	}
 	last := ll()
 	if last <= first+100 {
@@ -222,16 +234,17 @@ func TestQuickCountsMergeEquivalence(t *testing.T) {
 			words[i] = int(r) % 5
 			states[i] = int(r) % 2
 		}
-		whole := NewCounts(2, 5)
+		whole := NewPartial(2, 5)
 		whole.Accumulate(words, states, 1)
 		// Two docs accumulated into separate counts then merged differ
 		// from the single-doc result only in Start/Trans at the split,
 		// so instead check weight linearity: w=2 equals two w=1 passes.
-		twice := NewCounts(2, 5)
-		twice.Accumulate(words, states, 2)
-		double := NewCounts(2, 5)
-		double.Accumulate(words, states, 1)
-		double.Merge(whole)
+		tw := NewPartial(2, 5)
+		tw.Accumulate(words, states, 2)
+		db := NewPartial(2, 5)
+		db.Accumulate(words, states, 1)
+		db.Merge(whole)
+		twice, double := total(2, 5, tw), total(2, 5, db)
 		for s := 0; s < 2; s++ {
 			if twice.Emit[s].Sub(double.Emit[s]).Norm2() > 1e-9 {
 				return false

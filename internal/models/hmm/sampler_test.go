@@ -216,12 +216,12 @@ func TestMHAliasChainQuality(t *testing.T) {
 		var sc Scratch
 		chain := make([]float64, 0, iters)
 		for it := 0; it < iters; it++ {
-			counts := NewCounts(h.K, h.V)
+			p := NewPartial(h.K, h.V)
 			for i, words := range corpus {
 				m.ResampleStatesTier(rng, words, states[i], it, tier, &sc)
-				counts.Accumulate(words, states[i], 1)
+				p.Accumulate(words, states[i], 1)
 			}
-			m.UpdateModel(rng, h, counts)
+			m.UpdateModel(rng, h, total(h.K, h.V, p))
 			if tier == randgen.TierMHAlias {
 				m.RefreshProposals()
 			}

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"mlbench/internal/linalg"
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/ordmap"
 	"mlbench/internal/randgen"
 )
@@ -138,7 +139,17 @@ func (d *Doc) ResampleTheta(rng *randgen.RNG, h Hyper) {
 	d.Theta = rng.Dirichlet(f)
 }
 
-// WordCounts aggregates g(t, w): per-topic word counts across documents.
+// Tally adds the document's assignments, with the given weight, to a
+// sender's sparse g(t, w) partial (rows are topics, V wide). Receivers
+// fold partials into their dense WordCounts with p.AddTo(c.G).
+func (d *Doc) Tally(p *sparse.Counts, weight float64) {
+	for i, word := range d.Words {
+		p.Add(d.Z[i], word, weight)
+	}
+}
+
+// WordCounts is a receiver's dense total of g(t, w): per-topic word
+// counts across documents.
 type WordCounts struct {
 	T, V int
 	G    []linalg.Vec // T x V
@@ -157,13 +168,6 @@ func NewWordCounts(t, v int) *WordCounts {
 func (c *WordCounts) Accumulate(d *Doc, weight float64) {
 	for i, word := range d.Words {
 		c.G[d.Z[i]][word] += weight
-	}
-}
-
-// Merge folds other into c.
-func (c *WordCounts) Merge(o *WordCounts) {
-	for t := 0; t < c.T; t++ {
-		o.G[t].AddTo(c.G[t])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/randgen"
 )
 
@@ -79,16 +80,18 @@ func TestTopicCountsAndTheta(t *testing.T) {
 }
 
 func TestWordCountsAccumulateMerge(t *testing.T) {
-	a := NewWordCounts(2, 4)
-	b := NewWordCounts(2, 4)
-	a.Accumulate(&Doc{Words: []int{0, 1}, Z: []int{0, 1}}, 1)
-	b.Accumulate(&Doc{Words: []int{1}, Z: []int{1}}, 2)
+	a, b := sparse.New(4), sparse.New(4)
+	(&Doc{Words: []int{0, 1}, Z: []int{0, 1}}).Tally(a, 1)
+	(&Doc{Words: []int{1}, Z: []int{1}}).Tally(b, 2)
 	a.Merge(b)
-	if a.G[0][0] != 1 || a.G[1][1] != 3 {
-		t.Errorf("counts = %v", a.G)
+	c := NewWordCounts(2, 4)
+	a.AddTo(c.G)
+	c.Accumulate(&Doc{Words: []int{3}, Z: []int{0}}, 1)
+	if c.G[0][0] != 1 || c.G[1][1] != 3 || c.G[0][3] != 1 {
+		t.Errorf("counts = %v", c.G)
 	}
-	if a.Bytes() != 8*2*4 {
-		t.Errorf("Bytes = %d", a.Bytes())
+	if c.Bytes() != 8*2*4 {
+		t.Errorf("Bytes = %d", c.Bytes())
 	}
 }
 

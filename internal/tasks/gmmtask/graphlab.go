@@ -103,12 +103,23 @@ func (p *glProgram) Gather(m *sim.Meter, v, nbr *gas.Vertex) any {
 	if _, ok := v.Data.(*svVtx); ok {
 		return gatherVal{isModel: true}
 	}
+	// Only cluster vertex 0's statistics are read (Apply); the other
+	// model-side vertices pay the same gather and sum charges but fold
+	// nothing.
+	cv, ok := v.Data.(*clusVtx)
+	reads := ok && cv.k == 0
 	switch nd := nbr.Data.(type) {
 	case *dataVtx:
 		m.ChargeLinalg(1, float64(p.st.cfg.D), p.st.cfg.D)
+		if !reads {
+			return gatherVal{}
+		}
 		return gatherVal{c: nd.c, x: nd.x}
 	case *svVtx:
 		m.ChargeLinalgAbs(1, float64(p.st.cfg.K*p.st.cfg.D), p.st.cfg.D)
+		if !reads {
+			return gatherVal{}
+		}
 		return gatherVal{sv: nd.stats}
 	default:
 		return gatherVal{isModel: true}
@@ -147,7 +158,9 @@ func (p *glProgram) Sum(m *sim.Meter, a, b any) any {
 	// Accumulator merging happens at the model-side vertices and is not
 	// data-proportional.
 	m.ChargeLinalgAbs(1, float64(p.st.cfg.D*p.st.cfg.D), p.st.cfg.D)
-	av.absorb(p.st.cfg, bv)
+	if bv.x != nil || bv.sv != nil {
+		av.absorb(p.st.cfg, bv)
+	}
 	return av
 }
 
@@ -171,8 +184,8 @@ func (p *glProgram) Apply(m *sim.Meter, v *gas.Vertex, acc any) {
 		if gv.isModel {
 			return
 		}
-		// Each cluster vertex gathers the full statistics; vertex 0
-		// records them for the model draw at the end of the round.
+		// Vertex 0 records the gathered statistics for the model draw at
+		// the end of the round.
 		if d.k == 0 {
 			var single gatherVal
 			single.absorb(cfg, gv)

@@ -39,7 +39,7 @@ type hmmBlockVtx struct {
 type hmmStateVtx struct{ s int }
 
 // countsMsg carries one sender's merged f/g/h contributions.
-type countsMsg struct{ c *hmm.Counts }
+type countsMsg struct{ c *hmm.Partial }
 
 // RunGiraph implements the paper's Section 7.4 Giraph HMM. The word-based
 // formulation stores one vertex per word — 525M Java vertex objects per
@@ -137,7 +137,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 		iterCopy := iter
 		err = g.RunSuperstep(func(ctx *bsp.Context, v *bsp.Vertex, msgs []bsp.Msg) error {
 			m := ctx.Meter()
-			emit := func(c *hmm.Counts) {
+			emit := func(c *hmm.Partial) {
 				ctx.Send(0, &countsMsg{c: c}, cBytes)
 			}
 			switch d := v.Data.(type) {
@@ -152,11 +152,11 @@ func RunGiraph(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 				m.ChargeTuples(2 * len(d.words))
 				m.ChargeBulk(float64(len(d.words)) * hmm.StateFlopsTier(cfg.Sampler, cfg.K) / 2)
 				model.ResampleStatesTier(m.RNG(), d.words, d.states, iterCopy, cfg.Sampler, &d.sc)
-				c := hmm.NewCounts(cfg.K, cfg.V)
+				c := hmm.NewPartial(cfg.K, cfg.V)
 				c.Accumulate(d.words, d.states, cl.Scale())
 				emit(c)
 			case *hmmBlockVtx:
-				c := hmm.NewCounts(cfg.K, cfg.V)
+				c := hmm.NewPartial(cfg.K, cfg.V)
 				for i, doc := range d.docs {
 					// Half the positions are resampled per sweep; each
 					// pays a boxed state/count touch plus the flops.
@@ -180,7 +180,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 				gathered = hmm.NewCounts(cfg.K, cfg.V)
 				for _, msg := range msgs {
 					if cm, ok := msg.Data.(*countsMsg); ok {
-						gathered.Merge(cm.c)
+						gathered.Fold(cm.c)
 					}
 				}
 			}

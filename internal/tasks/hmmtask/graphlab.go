@@ -21,7 +21,7 @@ const glDataBase gas.VertexID = 1 << 41
 type glSVVtx struct {
 	docs   [][]int
 	states [][]int
-	counts *hmm.Counts
+	counts *hmm.Partial
 	sc     hmm.Scratch
 }
 
@@ -53,10 +53,12 @@ type glHMMState struct {
 	iter   int
 }
 
+// glHMMGather is one gather contribution or accumulator: a super
+// vertex's partial (by reference) or state vertex 0's dense total.
 type glHMMGather struct {
 	isModel bool
-	counts  *hmm.Counts
-	owned   bool
+	part    *hmm.Partial
+	total   *hmm.Counts
 }
 
 type glHMMProg struct{ st *glHMMState }
@@ -74,7 +76,12 @@ func (p *glHMMProg) Gather(m *sim.Meter, v, nbr *gas.Vertex) any {
 	}
 	sv := nbr.Data.(*glSVVtx)
 	m.ChargeLinalgAbs(1, float64(p.st.cfg.K*p.st.cfg.V), 1)
-	return glHMMGather{counts: sv.counts}
+	if v.Data.(*glStateVtx).s != 0 {
+		// Only state vertex 0's statistics are read (Apply); the others
+		// pay the same gather and sum charges but fold nothing.
+		return glHMMGather{}
+	}
+	return glHMMGather{part: sv.counts}
 }
 
 func (p *glHMMProg) Sum(m *sim.Meter, a, b any) any {
@@ -83,24 +90,28 @@ func (p *glHMMProg) Sum(m *sim.Meter, a, b any) any {
 		return av
 	}
 	m.ChargeLinalgAbs(1, float64(p.st.cfg.K*p.st.cfg.V), 1)
-	if !av.owned {
-		merged := hmm.NewCounts(p.st.cfg.K, p.st.cfg.V)
-		if av.counts != nil {
-			merged.Merge(av.counts)
-		}
-		av.counts, av.owned = merged, true
+	if bv.part == nil {
+		return av
 	}
-	if bv.counts != nil {
-		av.counts.Merge(bv.counts)
-	}
+	av.fold(p.st.cfg)
+	av.total.Fold(bv.part)
 	return av
+}
+
+// fold makes g's statistics a dense total it owns.
+func (g *glHMMGather) fold(cfg Config) {
+	if g.total == nil {
+		g.total = hmm.NewCounts(cfg.K, cfg.V)
+		g.total.Fold(g.part)
+		g.part = nil
+	}
 }
 
 func (p *glHMMProg) Apply(m *sim.Meter, v *gas.Vertex, acc any) {
 	cfg := p.st.cfg
 	switch d := v.Data.(type) {
 	case *glSVVtx:
-		c := hmm.NewCounts(cfg.K, cfg.V)
+		c := hmm.NewPartial(cfg.K, cfg.V)
 		for i, doc := range d.docs {
 			m.ChargeBulk(float64(len(doc)) * hmm.StateFlopsTier(cfg.Sampler, cfg.K) / 2)
 			p.st.model.ResampleStatesTier(m.RNG(), doc, d.states[i], p.roundIter(), cfg.Sampler, &d.sc)
@@ -112,16 +123,9 @@ func (p *glHMMProg) Apply(m *sim.Meter, v *gas.Vertex, acc any) {
 			return
 		}
 		gv := acc.(glHMMGather)
-		if gv.isModel || gv.counts == nil {
-			return
-		}
-		if d.s == 0 {
-			if !gv.owned {
-				merged := hmm.NewCounts(cfg.K, cfg.V)
-				merged.Merge(gv.counts)
-				gv.counts = merged
-			}
-			p.st.counts = gv.counts
+		if d.s == 0 && !gv.isModel {
+			gv.fold(cfg)
+			p.st.counts = gv.total
 		}
 	}
 }
@@ -164,7 +168,7 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				sv.states = append(sv.states, hmm.InitStates(rng, d, cfg.K))
 				words += len(d)
 			}
-			sv.counts = hmm.NewCounts(cfg.K, cfg.V)
+			sv.counts = hmm.NewPartial(cfg.K, cfg.V)
 			for i, d := range sv.docs {
 				sv.counts.Accumulate(d, sv.states[i], cl.Scale())
 			}

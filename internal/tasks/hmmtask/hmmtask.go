@@ -146,9 +146,16 @@ func countsViewBytes(k, v int) int64 { return int64(48 * (k*v + k*k + k)) }
 // modelBytes is the wire size of the HMM model (Psi, delta, delta0).
 func modelBytes(k, v int) int64 { return int64(8 * (k*v + k*k + k)) }
 
+// finalModel, when non-nil, receives every port's final model. It is the
+// chain-identity test's window onto the sampler chain.
+var finalModel func(*hmm.Model)
+
 // recordQuality stores the final joint log-likelihood per word over
 // machine 0's documents with freshly drawn states (diagnostic only).
 func recordQuality(cl *sim.Cluster, cfg Config, m *hmm.Model, states [][]int, docs [][]int, res *task.Result) {
+	if finalModel != nil {
+		finalModel(m)
+	}
 	var ll float64
 	words := 0
 	for i, doc := range docs {

@@ -24,8 +24,9 @@ func cloneHMMModel(m *hmm.Model) *hmm.Model {
 
 // RunPS implements the HMM Gibbs sampler on the parameter-server engine:
 // workers resample their documents' hidden state chains against a cached
-// (possibly stale) model, push dense count deltas (start, transition,
-// emission), the servers fold them, and the driver redraws the model.
+// (possibly stale) model, push count deltas (start, transition,
+// emission; priced dense, held as sparse partials on the host), the
+// servers fold them, and the driver redraws the model.
 func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, error) {
 	cfg = cfg.withDefaults()
 	res := &task.Result{}
@@ -69,7 +70,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 	snaps := []*hmm.Model{snap0}
 	scratches := make([]hmm.Scratch, machines)
 	wire := float64(modelBytes(cfg.K, cfg.V))
-	locals := make([]*hmm.Counts, machines)
+	locals := make([]*hmm.Partial, machines)
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		gathered := hmm.NewCounts(cfg.K, cfg.V)
 		iterCopy := iter
@@ -79,7 +80,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 			PushBytes: wire,
 			Compute: func(w, version int, m *sim.Meter) error {
 				mod := snaps[version]
-				local := hmm.NewCounts(cfg.K, cfg.V)
+				local := hmm.NewPartial(cfg.K, cfg.V)
 				for i, doc := range machineDocs[w] {
 					m.ChargeTuples(len(doc) / 2)
 					m.ChargeBulk(float64(len(doc)) * hmm.StateFlopsTier(cfg.Sampler, cfg.K) / 2)
@@ -91,12 +92,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 			},
 			Fold: func(w int, m *sim.Meter) error {
 				m.ChargeLinalgAbs(1, float64(cfg.K*(cfg.V+cfg.K)+cfg.K), 1)
-				l := locals[w]
-				psengine.FoldDense(gathered.Start, l.Start)
-				for s := 0; s < cfg.K; s++ {
-					psengine.FoldDense(gathered.Trans[s], l.Trans[s])
-					psengine.FoldDense(gathered.Emit[s], l.Emit[s])
-				}
+				gathered.Fold(locals[w])
 				return nil
 			},
 			Apply: func(m *sim.Meter) error {

@@ -111,7 +111,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, error
 	// not packed arrays — the single-reducer aggregation of #partitions
 	// of these is what sinks the 100-machine run.
 	boxedCounts := int64(cfg.K*cfg.V+cfg.K*cfg.K+cfg.K) * 112
-	countsSizer := func(dataflow.Pair[int, *hmm.Counts]) int64 {
+	countsSizer := func(dataflow.Pair[int, *hmm.Partial]) int64 {
 		return boxedCounts
 	}
 	for iter := 0; iter < cfg.Iterations; iter++ {
@@ -122,8 +122,8 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, error
 		// separate count jobs; we aggregate all statistics in one
 		// partition-merged pass and charge the extra job launches.
 		counts := dataflow.MapPartitions(state, countsSizer,
-			func(m *sim.Meter, part []sparkDoc) []dataflow.Pair[int, *hmm.Counts] {
-				acc := hmm.NewCounts(cfg.K, cfg.V)
+			func(m *sim.Meter, part []sparkDoc) []dataflow.Pair[int, *hmm.Partial] {
+				acc := hmm.NewPartial(cfg.K, cfg.V)
 				for _, d := range part {
 					if cfg.Variant == VariantSV {
 						// Super-vertex counting is batched NumPy work.
@@ -134,9 +134,9 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, error
 					}
 					acc.Accumulate(d.words, d.states, 1)
 				}
-				return []dataflow.Pair[int, *hmm.Counts]{{K: 0, V: acc}}
+				return []dataflow.Pair[int, *hmm.Partial]{{K: 0, V: acc}}
 			})
-		merged := dataflow.ReduceByKey(counts, func(m *sim.Meter, a, b *hmm.Counts) *hmm.Counts {
+		merged := dataflow.ReduceByKey(counts, func(m *sim.Meter, a, b *hmm.Partial) *hmm.Partial {
 			m.ChargeLinalgAbs(1, float64(cfg.K*cfg.V), 1)
 			a.Merge(b)
 			return a
@@ -151,7 +151,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, error
 			m.ChargeLinalgAbs(cfg.K, float64(cfg.V+cfg.K), 1)
 			total := hmm.NewCounts(cfg.K, cfg.V)
 			for _, p := range pairs {
-				total.Merge(p.V)
+				total.Fold(p.V)
 			}
 			scaleCounts(total, cl.Scale())
 			model.UpdateModel(rng, h, total)
@@ -173,7 +173,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, error
 				if mc, i := docHome(machineDocs, d.id); mc == 0 {
 					finalStates[0][i] = ns
 				}
-				return sparkDoc{id: d.id, words: d.words, states: ns}
+				return sparkDoc{id: d.id, words: d.words, states: ns, sc: d.sc}
 			}).SetName("d_w_s_seq").Cache()
 		if _, err := dataflow.Count(next); err != nil {
 			return res, fmt.Errorf("hmm spark iter %d: update states: %w", iter, err)

@@ -75,6 +75,12 @@ func (p *impProg) Gather(m *sim.Meter, v, nbr *gas.Vertex) any {
 	}
 	if sv, ok := nbr.Data.(*impSVVtx); ok {
 		m.ChargeLinalgAbs(1, float64(p.st.cfg.K*p.st.cfg.D), p.st.cfg.D)
+		if cv, ok := v.Data.(*impClusVtx); !ok || cv.k != 0 {
+			// Only cluster vertex 0's statistics are read (Apply); the
+			// other model-side vertices pay the same gather and sum
+			// charges but fold nothing.
+			return impGather{}
+		}
 		return impGather{stats: sv.stats}
 	}
 	return impGather{isModel: true}
@@ -86,6 +92,9 @@ func (p *impProg) Sum(m *sim.Meter, a, b any) any {
 		return av
 	}
 	m.ChargeLinalgAbs(1, float64(p.st.cfg.K*p.st.cfg.D*p.st.cfg.D), p.st.cfg.D)
+	if bv.stats == nil {
+		return av
+	}
 	if !av.owned {
 		merged := gmm.NewStats(p.st.cfg.K, p.st.cfg.D)
 		if av.stats != nil {
@@ -93,9 +102,7 @@ func (p *impProg) Sum(m *sim.Meter, a, b any) any {
 		}
 		av.stats, av.owned = merged, true
 	}
-	if bv.stats != nil {
-		av.stats.Merge(bv.stats)
-	}
+	av.stats.Merge(bv.stats)
 	return av
 }
 

@@ -87,9 +87,6 @@ func (p *glProg) Sum(m *sim.Meter, a, b any) any {
 	for _, d := range bv.docs {
 		av.counts.Accumulate(d, p.st.scale)
 	}
-	if bv.counts != nil {
-		av.counts.Merge(bv.counts)
-	}
 	return av
 }
 

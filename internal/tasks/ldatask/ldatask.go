@@ -161,9 +161,16 @@ func scaleWordCounts(c *lda.WordCounts, scale float64) {
 	}
 }
 
+// finalModel, when non-nil, receives every port's final model. It is the
+// chain-identity test's window onto the sampler chain.
+var finalModel func(*lda.Model)
+
 // recordQuality stores the final per-word log-likelihood over machine 0's
 // documents (diagnostic only).
 func recordQuality(cfg Config, m *lda.Model, docs []*lda.Doc, res *task.Result) {
+	if finalModel != nil {
+		finalModel(m)
+	}
 	var ll float64
 	words := 0
 	for _, d := range docs {

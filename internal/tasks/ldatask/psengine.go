@@ -5,6 +5,7 @@ import (
 
 	"mlbench/internal/linalg"
 	"mlbench/internal/models/lda"
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/psengine"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -23,8 +24,9 @@ func cloneLDAModel(m *lda.Model) *lda.Model {
 // RunPS implements the non-collapsed LDA Gibbs sampler on the
 // parameter-server engine: the 100 x 10,000 phi matrix is exactly the
 // model LightLDA-style systems shard — workers resample z/theta against
-// a cached (possibly stale) phi, push dense topic-word count deltas, the
-// servers fold them per parameter range, and the driver redraws phi.
+// a cached (possibly stale) phi, push topic-word count deltas (priced
+// dense, held as sparse partials on the host), the servers fold them per
+// parameter range, and the driver redraws phi.
 // This is the workload where the parameter server's cheap asynchronous
 // cycles pay off most: the per-cycle model traffic that sinks Giraph at
 // scale is amortized over the staleness window.
@@ -72,7 +74,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 	refreshProposals(cfg, nil, snap0)
 	snaps := []*lda.Model{snap0}
 	wire := float64(modelBytes(cfg.T, cfg.V))
-	locals := make([]*lda.WordCounts, machines)
+	locals := make([]*sparse.Counts, machines)
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		gathered := lda.NewWordCounts(cfg.T, cfg.V)
 		err := eng.RunCycle(psengine.Cycle{
@@ -81,22 +83,20 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 			PushBytes: wire,
 			Compute: func(w, version int, m *sim.Meter) error {
 				phi := snaps[version]
-				local := lda.NewWordCounts(cfg.T, cfg.V)
+				local := sparse.New(cfg.V)
 				for _, doc := range machineDocs[w] {
 					m.ChargeTuples(len(doc.Words))
 					m.ChargeBulk(float64(len(doc.Words)) * lda.ZFlopsTier(cfg.Sampler, cfg.T))
 					phi.ResampleZTier(m.RNG(), doc, cfg.Sampler)
 					doc.ResampleTheta(m.RNG(), h)
-					local.Accumulate(doc, cl.Scale())
+					doc.Tally(local, cl.Scale())
 				}
 				locals[w] = local
 				return nil
 			},
 			Fold: func(w int, m *sim.Meter) error {
 				m.ChargeLinalgAbs(1, float64(cfg.T*cfg.V), 1)
-				for t := 0; t < cfg.T; t++ {
-					psengine.FoldDense(gathered.G[t], locals[w].G[t])
-				}
+				locals[w].AddTo(gathered.G)
 				return nil
 			},
 			Apply: func(m *sim.Meter) error {

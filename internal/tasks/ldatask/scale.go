@@ -7,6 +7,7 @@ import (
 	"mlbench/internal/dataflow"
 	"mlbench/internal/gas"
 	"mlbench/internal/models/lda"
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/ordmap"
 	"mlbench/internal/psengine"
 	"mlbench/internal/randgen"
@@ -79,49 +80,16 @@ func chargeScaleDoc(m *sim.Meter, cfg Config, words int) {
 	m.ChargeBulk(2*float64(words)*lda.ZFlops(cfg.T) + 4*float64(cfg.T))
 }
 
-// scaleCounts is a sparse, insertion-ordered topic-word count
-// accumulator: a streamed pass touches only the (topic, word) cells its
-// real tokens sampled, so host memory tracks token count rather than
-// T x V — the dense payload is still what the simulation charges on the
-// wire (countsViewBytes), since at paper scale the counts are dense.
-type scaleCounts struct {
-	v int
-	m *ordmap.Map[int, float64]
-}
-
-func newScaleCounts(v int) *scaleCounts {
-	return &scaleCounts{v: v, m: ordmap.New[int, float64]()}
-}
-
-// add absorbs one rejuvenated document's assignments.
-func (c *scaleCounts) add(d *lda.Doc) {
-	for i, w := range d.Words {
-		c.m.Merge(d.Z[i]*c.v+w, 1, func(old, new float64) float64 { return old + new })
-	}
-}
-
-// merge folds o into c in o's insertion order.
-func (c *scaleCounts) merge(o *scaleCounts) {
-	o.m.Each(func(k int, v float64) {
-		c.m.Merge(k, v, func(old, new float64) float64 { return old + new })
-	})
-}
-
-// fill writes the sparse counts into a dense WordCounts.
-func (c *scaleCounts) fill(dense *lda.WordCounts) {
-	c.m.Each(func(k int, v float64) {
-		dense.G[k/c.v][k%c.v] += v
-	})
-}
-
 // scalePass streams one machine's documents through the rejuvenation
-// sweep, accumulating sparse topic-word counts on the machine's meter
-// RNG.
-func scalePass(m *sim.Meter, cfg Config, h lda.Hyper, model *lda.Model, src *sim.Source[[]int]) *scaleCounts {
-	counts := newScaleCounts(cfg.V)
+// sweep, accumulating a sparse topic-word partial on the machine's meter
+// RNG. The partial tracks the tokens sampled, not T x V; the simulation
+// still charges the dense payload (countsViewBytes), since at paper
+// scale the counts are dense.
+func scalePass(m *sim.Meter, cfg Config, h lda.Hyper, model *lda.Model, src *sim.Source[[]int]) *sparse.Counts {
+	counts := sparse.New(cfg.V)
 	src.Each(func(words []int) {
 		chargeScaleDoc(m, cfg, len(words))
-		counts.add(rejuvenate(m.RNG(), h, model, words))
+		rejuvenate(m.RNG(), h, model, words).Tally(counts, 1)
 	})
 	return counts
 }
@@ -154,6 +122,14 @@ func scaleChain(cl *sim.Cluster, cfg Config, h lda.Hyper, model *lda.Model) floa
 		return 0
 	}
 	return ll / float64(words)
+}
+
+// recordScaleQuality stores the final scaleChain diagnostic.
+func recordScaleQuality(cl *sim.Cluster, cfg Config, h lda.Hyper, model *lda.Model, res *task.Result) {
+	if finalModel != nil {
+		finalModel(model)
+	}
+	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
 }
 
 // scaleStreamBytes is the simulated resident stream window per machine:
@@ -200,15 +176,15 @@ func RunScaleSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Resu
 			return res, fmt.Errorf("lda scale spark: broadcast: %w", err)
 		}
 		counts, err := dataflow.Aggregate(data,
-			func() *scaleCounts { return newScaleCounts(cfg.V) },
-			func(m *sim.Meter, acc *scaleCounts, words []int) *scaleCounts {
+			func() *sparse.Counts { return sparse.New(cfg.V) },
+			func(m *sim.Meter, acc *sparse.Counts, words []int) *sparse.Counts {
 				chargeScaleDoc(m, cfg, len(words))
-				acc.add(rejuvenate(m.RNG(), h, model, words))
+				rejuvenate(m.RNG(), h, model, words).Tally(acc, 1)
 				return acc
 			},
-			func(m *sim.Meter, a, b *scaleCounts) *scaleCounts {
+			func(m *sim.Meter, a, b *sparse.Counts) *sparse.Counts {
 				m.ChargeLinalgAbs(1, float64(cfg.T*cfg.V), 1)
-				a.merge(b)
+				a.Merge(b)
 				return a
 			},
 		)
@@ -216,7 +192,7 @@ func RunScaleSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Resu
 			return res, fmt.Errorf("lda scale spark iter %d: %w", iter, err)
 		}
 		gathered := lda.NewWordCounts(cfg.T, cfg.V)
-		counts.fill(gathered)
+		counts.AddTo(gathered.G)
 		if err := scaleUpdate(cl, cfg, h, profile, rng, model, gathered, "lda-scale-update"); err != nil {
 			return res, err
 		}
@@ -224,7 +200,7 @@ func RunScaleSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Resu
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 		res.Record(scaleChain(cl, cfg, h, model))
 	}
-	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
+	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
 }
 
@@ -239,9 +215,10 @@ type scaleSVVtx struct {
 // scaleTopicVtx owns one topic's gathered counts.
 type scaleTopicVtx struct{ t int }
 
-// scaleCountMsg carries one topic's sparse word counts.
+// scaleCountMsg carries one topic's sparse word counts (a one-row
+// partial).
 type scaleCountMsg struct {
-	wc *ordmap.Map[int, float64]
+	wc *sparse.Counts
 }
 
 // RunScaleGiraph runs the streamed scale formulation on the BSP engine:
@@ -258,10 +235,7 @@ func RunScaleGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	g := bsp.NewGraph(cl)
 	g.SetCombiner(func(a, b bsp.Msg) bsp.Msg {
 		am := a.Data.(*scaleCountMsg)
-		bm := b.Data.(*scaleCountMsg)
-		bm.wc.Each(func(w int, v float64) {
-			am.wc.Merge(w, v, func(old, new float64) float64 { return old + new })
-		})
+		am.wc.Merge(b.Data.(*scaleCountMsg).wc)
 		return bsp.Msg{Data: am, Bytes: a.Bytes}
 	})
 
@@ -310,18 +284,15 @@ func RunScaleGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				return nil
 			}
 			m := ctx.Meter()
-			byTopic := ordmap.New[int, *ordmap.Map[int, float64]]()
+			byTopic := ordmap.New[int, *sparse.Counts]()
 			sv.src.Each(func(words []int) {
 				chargeScaleDoc(m, cfg, len(words))
 				d := rejuvenate(m.RNG(), h, model, words)
 				for i, w := range d.Words {
-					wc := byTopic.GetOrInsert(d.Z[i], func() *ordmap.Map[int, float64] {
-						return ordmap.New[int, float64]()
-					})
-					wc.Merge(w, 1, func(old, new float64) float64 { return old + new })
+					byTopic.GetOrInsert(d.Z[i], func() *sparse.Counts { return sparse.New(cfg.V) }).Add(0, w, 1)
 				}
 			})
-			byTopic.Each(func(t int, wc *ordmap.Map[int, float64]) {
+			byTopic.Each(func(t int, wc *sparse.Counts) {
 				ctx.Send(bsp.VertexID(t), &scaleCountMsg{wc: wc}, tBytes)
 			})
 			return nil
@@ -336,9 +307,7 @@ func RunScaleGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				return nil
 			}
 			for _, msg := range msgs {
-				msg.Data.(*scaleCountMsg).wc.Each(func(w int, val float64) {
-					gathered.G[tv.t][w] += val
-				})
+				msg.Data.(*scaleCountMsg).wc.AddTo(gathered.G[tv.t : tv.t+1])
 			}
 			return nil
 		})
@@ -351,7 +320,7 @@ func RunScaleGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 		res.Record(scaleChain(cl, cfg, h, model))
 	}
-	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
+	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
 }
 
@@ -404,22 +373,22 @@ func RunScaleGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				return scalePass(m, cfg, h, model, v.Data.(*scaleSVVtx).src)
 			},
 			func(m *sim.Meter, a, b any) any {
-				ac := a.(*scaleCounts)
-				ac.merge(b.(*scaleCounts))
+				ac := a.(*sparse.Counts)
+				ac.Merge(b.(*sparse.Counts))
 				return ac
 			})
 		if err != nil {
 			return res, fmt.Errorf("lda scale graphlab iter %d: map-reduce: %w", iter, err)
 		}
 		gathered := lda.NewWordCounts(cfg.T, cfg.V)
-		out.(*scaleCounts).fill(gathered)
+		out.(*sparse.Counts).AddTo(gathered.G)
 		if err := scaleUpdate(cl, cfg, h, sim.ProfileCPP, rng, model, gathered, "lda-scale-update"); err != nil {
 			return res, err
 		}
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 		res.Record(scaleChain(cl, cfg, h, model))
 	}
-	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
+	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
 }
 
@@ -442,17 +411,17 @@ func (v *scaleCountsVG) OutSchema() relational.Schema {
 	}
 }
 func (v *scaleCountsVG) Apply(m relational.VGMeter, rows []relational.Tuple) []relational.Tuple {
-	counts := newScaleCounts(v.cfg.V)
+	counts := sparse.New(v.cfg.V)
 	for _, row := range rows {
 		src := v.srcs[row.Int(0)]
 		m.ChargeOpsData(src.Len()*v.cfg.AvgDocLen, 2*lda.ZFlops(v.cfg.T), 1)
 		src.Each(func(words []int) {
-			counts.add(rejuvenate(m.RNG(), v.h, v.model, words))
+			rejuvenate(m.RNG(), v.h, v.model, words).Tally(counts, 1)
 		})
 	}
-	out := make([]relational.Tuple, 0, counts.m.Len())
-	counts.m.Each(func(k int, val float64) {
-		out = append(out, relational.T(float64(k/v.cfg.V), float64(k%v.cfg.V), val))
+	out := make([]relational.Tuple, 0, counts.Len())
+	counts.Each(func(t, w int, val float64) {
+		out = append(out, relational.T(float64(t), float64(w), val))
 	})
 	return out
 }
@@ -515,7 +484,7 @@ func RunScaleSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 		res.Record(scaleChain(cl, cfg, h, model))
 	}
-	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
+	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
 }
 
@@ -579,7 +548,7 @@ func RunScalePS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Resul
 
 	snaps := []*lda.Model{cloneLDAModel(model)}
 	wire := float64(modelBytes(cfg.T, cfg.V))
-	locals := make([]*scaleCounts, machines)
+	locals := make([]*sparse.Counts, machines)
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		gathered := lda.NewWordCounts(cfg.T, cfg.V)
 		err := eng.RunCycle(psengine.Cycle{
@@ -592,7 +561,7 @@ func RunScalePS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Resul
 			},
 			Fold: func(w int, m *sim.Meter) error {
 				m.ChargeLinalgAbs(1, float64(cfg.T*cfg.V), 1)
-				locals[w].fill(gathered)
+				locals[w].AddTo(gathered.G)
 				locals[w] = nil
 				return nil
 			},
@@ -613,6 +582,6 @@ func RunScalePS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Resul
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 		res.Record(scaleChain(cl, cfg, h, model))
 	}
-	res.SetMetric("loglike", scaleChain(cl, cfg, h, model))
+	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
 }

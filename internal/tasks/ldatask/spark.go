@@ -5,6 +5,7 @@ import (
 
 	"mlbench/internal/dataflow"
 	"mlbench/internal/models/lda"
+	"mlbench/internal/models/sparse"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
 	"mlbench/internal/tasks/task"
@@ -95,7 +96,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant, profile sim.Profile)
 	res.InitSec = sw.Lap()
 
 	avgTokens := cfg.DocsPerMachine / parts * cfg.AvgDocLen * machines
-	countSizer := func(dataflow.Pair[int, *lda.WordCounts]) int64 {
+	countSizer := func(dataflow.Pair[int, *sparse.Counts]) int64 {
 		return boxedCountBytes(profile, cfg.T, cfg.V, avgTokens)
 	}
 	for iter := 0; iter < cfg.Iterations; iter++ {
@@ -128,19 +129,19 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant, profile sim.Profile)
 		// Aggregate g(t, w): per-partition boxed dictionaries shuffled to
 		// a single reducer, then collected to the driver.
 		counts := dataflow.MapPartitions(state, countSizer,
-			func(m *sim.Meter, part []sparkLDADoc) []dataflow.Pair[int, *lda.WordCounts] {
-				acc := lda.NewWordCounts(cfg.T, cfg.V)
+			func(m *sim.Meter, part []sparkLDADoc) []dataflow.Pair[int, *sparse.Counts] {
+				acc := sparse.New(cfg.V)
 				for _, d := range part {
 					if variant == VariantSV {
 						m.ChargeBulk(float64(len(d.doc.Words)))
 					} else {
 						m.ChargeTuples(len(d.doc.Words))
 					}
-					acc.Accumulate(d.doc, 1)
+					d.doc.Tally(acc, 1)
 				}
-				return []dataflow.Pair[int, *lda.WordCounts]{{K: 0, V: acc}}
+				return []dataflow.Pair[int, *sparse.Counts]{{K: 0, V: acc}}
 			})
-		merged := dataflow.ReduceByKey(counts, func(m *sim.Meter, a, b *lda.WordCounts) *lda.WordCounts {
+		merged := dataflow.ReduceByKey(counts, func(m *sim.Meter, a, b *sparse.Counts) *sparse.Counts {
 			m.ChargeLinalgAbs(1, float64(cfg.T*cfg.V), 1)
 			a.Merge(b)
 			return a
@@ -154,7 +155,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, variant Variant, profile sim.Profile)
 			m.ChargeLinalgAbs(cfg.T, float64(cfg.V), 1)
 			total := lda.NewWordCounts(cfg.T, cfg.V)
 			for _, p := range pairs {
-				total.Merge(p.V)
+				p.V.AddTo(total.G)
 			}
 			scaleWordCounts(total, cl.Scale())
 			model.UpdatePhi(rng, h, total)
