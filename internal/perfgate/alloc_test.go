@@ -60,6 +60,26 @@ func TestStreamSubstrateAllocCeilings(t *testing.T) {
 	}
 }
 
+// Walking a partition's blocks in order — a machine's 80 super vertices —
+// must generate each element about once, not replay every block's
+// prefix (which costs ~40x the partition per pass). The ceiling allows
+// one chunk of slack.
+func TestStreamBlockWalkRegenerationCeiling(t *testing.T) {
+	const n, blocks = 65_536, 80
+	generated := 0
+	src := sim.NewSource(n, 0, func() func() float64 {
+		rng := randgen.New(23)
+		return func() float64 { generated++; return rng.Float64() }
+	})
+	for b := 0; b < blocks; b++ {
+		src.EachRange(b*n/blocks, (b+1)*n/blocks, func(v float64) { Sink += v })
+	}
+	if ceiling := n + src.ChunkSize(); generated > ceiling {
+		t.Errorf("an in-order %d-block pass over %d elements generated %d, ceiling %d: blocks are replaying their prefix",
+			blocks, n, generated, ceiling)
+	}
+}
+
 // The Lasso Gram fold runs once per observation: it must not allocate.
 func TestGramFoldAllocCeiling(t *testing.T) {
 	spec := gramFoldSpec()

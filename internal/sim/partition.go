@@ -32,11 +32,22 @@ func (c *Cluster) ChunkElems() int {
 // Because regeneration is pure, a Source can be iterated any number of
 // times — the two-pass moment computations the engines rely on for
 // byte-identity simply open two cursors.
+//
+// Because each generator is also independent of every other, a cursor
+// closed short of the partition's end can hand its generator on: the
+// source parks it with its position, and the next Range starting at or
+// past that position resumes it instead of regenerating the prefix.
+// Walking a partition's blocks in order therefore generates each element
+// once. At most one generator is parked per source.
 type Source[T any] struct {
 	n     int
 	chunk int
 	open  func() func() T
 	pool  sync.Pool // *[]T chunk buffers, reused across cursors
+
+	mu       sync.Mutex
+	parked   func() T // generator handed on by the last cursor closed short of n
+	parkedAt int      // elements parked has already yielded
 }
 
 // NewSource builds a source of n elements streamed in chunks of the
@@ -75,18 +86,43 @@ func (s *Source[T]) Cursor() *Cursor[T] { return s.Range(0, s.n) }
 
 // Range opens a cursor over elements [lo, hi). The generator draws a
 // variable number of random values per element, so there is no random
-// access: the prefix [0, lo) is regenerated and discarded. Block
-// consumers (super-vertex shards) are few per machine and small, so the
-// skip cost is dwarfed by the work done on the block itself.
+// access: elements before lo are generated and discarded. If a generator
+// is parked at or before lo, the cursor takes it and discards only the
+// gap, so consecutive blocks walked in order cost their own size; any
+// other lo opens a fresh generator and discards the prefix [0, lo).
 func (s *Source[T]) Range(lo, hi int) *Cursor[T] {
 	if lo < 0 || hi > s.n || lo > hi {
 		panic(fmt.Sprintf("sim: source range [%d, %d) outside [0, %d)", lo, hi, s.n))
 	}
-	next := s.open()
-	for i := 0; i < lo; i++ {
+	next, at := s.unpark(lo)
+	if next == nil {
+		next, at = s.open(), 0
+	}
+	for ; at < lo; at++ {
 		next()
 	}
 	return &Cursor[T]{src: s, next: next, pos: lo, end: hi}
+}
+
+// unpark takes the parked generator if it has yielded at most lo
+// elements, leaving the slot empty so no two cursors share it.
+func (s *Source[T]) unpark(lo int) (func() T, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.parked == nil || s.parkedAt > lo {
+		return nil, 0
+	}
+	next := s.parked
+	s.parked = nil
+	return next, s.parkedAt
+}
+
+// park hands a generator that has yielded at elements to the next Range,
+// replacing any generator parked before it.
+func (s *Source[T]) park(next func() T, at int) {
+	s.mu.Lock()
+	s.parked, s.parkedAt = next, at
+	s.mu.Unlock()
 }
 
 // Cursor walks one partition (or block) chunk by chunk. It is owned by
@@ -114,18 +150,25 @@ func (c *Cursor[T]) Next() ([]T, bool) {
 	if rem := c.end - c.pos; rem < n {
 		n = rem
 	}
+	// A generator that panics mid-chunk is at an unknown position, so it
+	// is detached from the cursor until the chunk is complete and Close
+	// cannot park it.
+	next := c.next
+	c.next = nil
 	b := (*c.buf)[:0]
 	for i := 0; i < n; i++ {
-		b = append(b, c.next())
+		b = append(b, next())
 	}
 	*c.buf = b
+	c.next = next
 	c.pos += n
 	return b, true
 }
 
-// Close releases the cursor's buffer back to the pool. The buffer is
-// cleared first so pooled spines do not pin element storage (vectors,
-// documents) across reuses.
+// Close releases the cursor's buffer back to the pool and, if the
+// cursor stopped short of the partition's end, parks its generator on
+// the source for the next block. The buffer is cleared first so pooled
+// spines do not pin element storage (vectors, documents) across reuses.
 func (c *Cursor[T]) Close() {
 	if c.buf != nil {
 		b := (*c.buf)[:cap(*c.buf)]
@@ -136,6 +179,9 @@ func (c *Cursor[T]) Close() {
 		*c.buf = b[:0]
 		c.src.pool.Put(c.buf)
 		c.buf = nil
+	}
+	if c.next != nil && c.pos < c.src.n {
+		c.src.park(c.next, c.pos)
 	}
 	c.next = nil
 	c.pos = c.end

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -66,8 +69,8 @@ func TestCursorChunkBounds(t *testing.T) {
 	}
 }
 
-// Range must regenerate-and-skip the prefix: block [lo, hi) of a
-// stateful generator equals the same slice of the materialized stream.
+// Range must skip to lo: block [lo, hi) of a stateful generator equals
+// the same slice of the materialized stream.
 func TestSourceRangeBlocks(t *testing.T) {
 	const n = 100
 	s := seqSource(n, 8)
@@ -88,6 +91,183 @@ func TestSourceRangeBlocks(t *testing.T) {
 	if !reflect.DeepEqual(append([]int{}, ca...), append([]int{}, cb...)) {
 		t.Error("two cursors over one source diverged")
 	}
+}
+
+// genCounts counts a counting source's generator opens and the elements
+// its generators yield.
+type genCounts struct{ opens, elems atomic.Int64 }
+
+// countingSource is seqSource with its generator work counted.
+func countingSource(n, chunk int) (*Source[int], *genCounts) {
+	var c genCounts
+	return NewSource(n, chunk, func() func() int {
+		c.opens.Add(1)
+		i := 0
+		return func() int {
+			c.elems.Add(1)
+			v := i * i
+			i++
+			return v
+		}
+	}), &c
+}
+
+// Walking a partition's blocks in order — the super-vertex shape, 80
+// blocks per machine — must open one generator and yield each element
+// exactly once, and the walk that reaches the end must leave nothing
+// parked.
+func TestSourceInOrderBlocksGenerateOnce(t *testing.T) {
+	const n, blocks = 10_007, 80
+	want := seqSource(n, 0).Materialize()
+	s, c := countingSource(n, 64)
+	for b := 0; b < blocks; b++ {
+		lo, hi := b*n/blocks, (b+1)*n/blocks
+		if got := s.MaterializeRange(lo, hi); !reflect.DeepEqual(got, want[lo:hi]) {
+			t.Fatalf("block %d [%d,%d) differs from materialized slice", b, lo, hi)
+		}
+	}
+	if o, e := c.opens.Load(), c.elems.Load(); o != 1 || e != n {
+		t.Errorf("in-order walk: %d opens, %d elements generated; want 1 open, %d elements", o, e, n)
+	}
+	if s.parked != nil {
+		t.Error("a walk that reached the end left a generator parked")
+	}
+}
+
+// checkRanges walks each [lo, hi) of rs and compares it with the
+// materialized partition.
+func checkRanges(t *testing.T, s *Source[int], want []int, rs [][2]int) {
+	t.Helper()
+	for _, r := range rs {
+		if got := s.MaterializeRange(r[0], r[1]); !reflect.DeepEqual(got, want[r[0]:r[1]]) {
+			t.Errorf("range [%d,%d) differs from materialized slice", r[0], r[1])
+		}
+	}
+}
+
+// Out-of-order walks — shuffled, repeated, overlapping and empty blocks —
+// must see exactly the materialized slices whether or not they meet a
+// parked generator.
+func TestSourceRangeAnyOrderMatchesMaterialized(t *testing.T) {
+	const n = 500
+	want := seqSource(n, 0).Materialize()
+	var blocks [][2]int
+	for lo := 0; lo < n; lo += 50 {
+		blocks = append(blocks, [2]int{lo, lo + 50})
+	}
+	r := rand.New(rand.NewSource(5))
+	r.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+	walks := map[string][][2]int{
+		"shuffled":    blocks,
+		"repeated":    {{100, 150}, {100, 150}, {150, 200}, {150, 200}, {100, 150}},
+		"overlapping": {{0, 40}, {30, 90}, {60, 120}, {119, 400}, {200, 210}},
+		"empty":       {{0, 0}, {20, 20}, {20, 30}, {30, 30}, {30, 30}, {500, 500}, {499, 500}},
+	}
+	for name, rs := range walks {
+		t.Run(name, func(t *testing.T) {
+			for _, chunk := range []int{1, 7, 64} {
+				checkRanges(t, seqSource(n, chunk), want, rs)
+			}
+		})
+	}
+}
+
+// Two cursors open at once over the same block must not share the parked
+// generator: each sees the block in full.
+func TestSourceParkedGeneratorHasOneOwner(t *testing.T) {
+	const n = 100
+	want := seqSource(n, 0).Materialize()
+	s := seqSource(n, 4)
+	s.MaterializeRange(0, 10) // parks at 10
+	a, b := s.Range(10, 20), s.Range(10, 20)
+	defer a.Close()
+	defer b.Close()
+	for _, cur := range []*Cursor[int]{a, b, a, b, a, b} {
+		chunk, ok := cur.Next()
+		if !ok {
+			continue
+		}
+		lo := cur.pos - len(chunk)
+		if !reflect.DeepEqual(chunk, want[lo:cur.pos]) {
+			t.Fatalf("cursor chunk [%d,%d) differs from materialized slice", lo, cur.pos)
+		}
+	}
+}
+
+// Concurrent walks from many goroutines over one source contend for the
+// parked slot; every block must still match (run under -race).
+func TestSourceConcurrentRangesMatchMaterialized(t *testing.T) {
+	const n, workers = 2_000, 8
+	want := seqSource(n, 0).Materialize()
+	s := seqSource(n, 16)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			var rs [][2]int
+			for lo := 0; lo < n; {
+				hi := lo + r.Intn(200)
+				if hi > n {
+					hi = n
+				}
+				rs = append(rs, [2]int{lo, hi})
+				if r.Intn(4) > 0 {
+					lo = hi // mostly in order, sometimes repeat a block
+				}
+			}
+			checkRanges(t, s, want, rs)
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// A cursor closed early parks at the position it reached; a later block
+// starting there, or past it, resumes that generator and discards only
+// the gap.
+func TestSourceResumeAfterEarlyClose(t *testing.T) {
+	const n = 200
+	want := seqSource(n, 0).Materialize()
+	for _, lo := range []int{8, 37} {
+		s, c := countingSource(n, 8)
+		cur := s.Range(0, 100)
+		if _, ok := cur.Next(); !ok {
+			t.Fatal("empty first chunk")
+		}
+		cur.Close() // parked at 8
+		checkRanges(t, s, want, [][2]int{{lo, 60}})
+		if o, e := c.opens.Load(), c.elems.Load(); o != 1 || e != 60 {
+			t.Errorf("resume at %d: %d opens, %d elements generated; want 1 open, 60 elements", lo, o, e)
+		}
+	}
+}
+
+// A generator that panics mid-chunk is at an unknown position and must
+// not be parked: the next walk sees the true stream.
+func TestSourcePanickingGeneratorNotParked(t *testing.T) {
+	const n = 50
+	want := seqSource(n, 0).Materialize()
+	var opens int
+	s := NewSource(n, 8, func() func() int {
+		opens++
+		i, fail := 0, opens == 1
+		return func() int {
+			if fail && i == 5 {
+				panic("generator failure")
+			}
+			v := i * i
+			i++
+			return v
+		}
+	})
+	func() {
+		cur := s.Range(0, 20)
+		defer func() { _ = recover() }()
+		defer cur.Close()
+		cur.Next()
+	}()
+	checkRanges(t, s, want, [][2]int{{0, 20}, {20, 30}})
 }
 
 func TestSourceRangePanicsOutside(t *testing.T) {

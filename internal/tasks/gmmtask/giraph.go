@@ -22,7 +22,9 @@ type bspDataVtx struct {
 }
 
 // bspSVVtx is a super-vertex block [lo, hi) of one machine's point
-// stream, regenerated on each walk rather than held resident.
+// stream, regenerated on each walk rather than held resident. A
+// superstep computes a machine's vertices in insertion order, so each
+// block resumes where the previous one parked the generator.
 type bspSVVtx struct {
 	src    *sim.Source[linalg.Vec]
 	lo, hi int

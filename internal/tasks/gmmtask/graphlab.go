@@ -28,7 +28,9 @@ type dataVtx struct {
 // svVtx is a super vertex: a block [lo, hi) of one machine's point
 // stream with pre-aggregated statistics as its exported view. The block
 // is regenerated from the source each time it is walked, so no
-// paper-scale points stay resident between phases.
+// paper-scale points stay resident between phases; a phase walks a
+// machine's blocks in order, so each walk resumes the generator the
+// previous block parked and costs only its own points.
 type svVtx struct {
 	src    *sim.Source[linalg.Vec]
 	lo, hi int

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"mlbench/internal/linalg"
 	"mlbench/internal/randgen"
 )
@@ -68,6 +70,51 @@ func OpenRegressionWithBeta(rng *randgen.RNG, beta linalg.Vec, noise float64) fu
 	}
 }
 
+// zipfTables caches the read-only word-sampling tables built from a Zipf
+// rank profile: every cursor open over a corpus partition needs the same
+// table, and building one costs a math.Pow per vocabulary word. Values
+// are *randgen.Alias or a dense []float64 cdf; concurrent builders of one
+// key compute identical tables, so whichever is stored first is used.
+var zipfTables sync.Map // zipfKey -> table
+
+type zipfKey struct {
+	v     int
+	s     float64
+	dense bool
+}
+
+// zipfAlias returns the shared alias table over ZipfWeights(v, s).
+func zipfAlias(v int, s float64) *randgen.Alias {
+	k := zipfKey{v: v, s: s}
+	if t, ok := zipfTables.Load(k); ok {
+		return t.(*randgen.Alias)
+	}
+	t, _ := zipfTables.LoadOrStore(k, randgen.NewAlias(ZipfWeights(v, s)))
+	return t.(*randgen.Alias)
+}
+
+// zipfCDF returns the shared normalized cdf of ZipfWeights(v, s), the
+// dense-tier word sampler's table.
+func zipfCDF(v int, s float64) []float64 {
+	k := zipfKey{v: v, s: s, dense: true}
+	if t, ok := zipfTables.Load(k); ok {
+		return t.([]float64)
+	}
+	weights := ZipfWeights(v, s)
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	cdf := make([]float64, v)
+	var acc float64
+	for r := range weights {
+		acc += weights[r] / total
+		cdf[r] = acc
+	}
+	t, _ := zipfTables.LoadOrStore(k, cdf)
+	return t.([]float64)
+}
+
 // OpenCorpus returns a sequential document generator with GenCorpus's
 // planted structure and draw pattern. Building the generator consumes
 // the per-topic permutations from rng exactly as GenCorpus does;
@@ -83,28 +130,18 @@ func OpenCorpus(rng *randgen.RNG, cfg CorpusConfig) func() []int {
 	// Per-topic word distributions: a Zipf profile over a topic-specific
 	// permutation of the dictionary, so topics prefer disjoint-ish words.
 	// All topics share one Zipf rank profile; only the permutation differs.
-	weights := ZipfWeights(cfg.Vocab, 1.05)
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
 	perms := make([][]int, topics)
 	for t := 0; t < topics; t++ {
 		perms[t] = rng.Perm(cfg.Vocab)
 	}
 	var sample func(t int) int
 	if cfg.Sampler != randgen.TierDense {
-		at := randgen.NewAlias(weights)
+		at := zipfAlias(cfg.Vocab, 1.05)
 		sample = func(t int) int {
 			return perms[t][at.Draw(rng)]
 		}
 	} else {
-		cdf := make([]float64, cfg.Vocab)
-		var acc float64
-		for r := range weights {
-			acc += weights[r] / total
-			cdf[r] = acc
-		}
+		cdf := zipfCDF(cfg.Vocab, 1.05)
 		sample = func(t int) int {
 			u := rng.Float64()
 			// Binary search the cdf.
@@ -143,7 +180,7 @@ func OpenCorpus(rng *randgen.RNG, cfg CorpusConfig) func() []int {
 // GenCorpusSkewed's shape knobs and draw pattern.
 func OpenCorpusSkewed(rng *randgen.RNG, cfg SkewedCorpusConfig) func() []int {
 	cfg = cfg.withDefaults()
-	words := randgen.NewAlias(ZipfWeights(cfg.Vocab, cfg.ZipfS))
+	words := zipfAlias(cfg.Vocab, cfg.ZipfS)
 	perms := make([][]int, cfg.Topics)
 	for t := range perms {
 		perms[t] = rng.Perm(cfg.Vocab)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +235,30 @@ func TestGenCorpusDeterministic(t *testing.T) {
 				t.Fatal("words differ across identical seeds")
 			}
 		}
+	}
+}
+
+// Corpus opens share one word table per (vocabulary, exponent, tier),
+// equal to a fresh build, while ZipfWeights keeps returning a fresh slice
+// its callers may normalise in place.
+func TestZipfTablesShared(t *testing.T) {
+	if zipfAlias(50, 1.05) != zipfAlias(50, 1.05) {
+		t.Error("alias table rebuilt for the same vocabulary")
+	}
+	if !reflect.DeepEqual(zipfAlias(50, 1.3).Pmf(), randgen.NewAlias(ZipfWeights(50, 1.3)).Pmf()) {
+		t.Error("cached alias table differs from a fresh build")
+	}
+	cdf := zipfCDF(50, 1.05)
+	if &cdf[0] != &zipfCDF(50, 1.05)[0] {
+		t.Error("dense cdf rebuilt for the same vocabulary")
+	}
+	if cdf[len(cdf)-1] < 1-1e-12 || cdf[0] <= 0 {
+		t.Errorf("dense cdf not normalised: first %v, last %v", cdf[0], cdf[len(cdf)-1])
+	}
+	a := ZipfWeights(5, 1.05)
+	a[0] = -1
+	if ZipfWeights(5, 1.05)[0] != 1 {
+		t.Error("ZipfWeights returned a shared slice")
 	}
 }
 
