@@ -11,9 +11,6 @@
 //	mlbench run -spec spec.json              # run a serialized core.RunSpec
 //	mlbench run -figure fig2 -failures 2 -failat 0.25 -straggle 4
 //	mlbench run -figure fig1a -traceout fig1a.json   # Chrome trace-event JSON
-//	mlbench bench                            # wall-time 1 worker vs the pool
-//	mlbench gate -benchout baseline.json     # record a perf baseline
-//	mlbench gate -baseline baseline.json     # gate: nonzero on regression
 //	mlbench serve -addr 127.0.0.1:8080       # the experiment service (mlbenchd)
 //	mlbench load -profile profiles/smoke.yaml -target http://127.0.0.1:8080
 //	mlbench gen -spec datasets/smoke.yaml -out corpus.json   # synthetic dataset
@@ -40,45 +37,45 @@ import (
 
 	"mlbench/internal/bench"
 	"mlbench/internal/core"
-	"mlbench/internal/perfgate"
 	"mlbench/internal/serve"
 	"mlbench/internal/trace"
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(dispatch(os.Args[1:]))
+}
+
+// dispatch runs the subcommand named by args[0] and returns the exit code.
+func dispatch(args []string) int {
+	if len(args) == 0 {
 		usage(os.Stderr)
-		os.Exit(2)
+		return 2
 	}
-	if msg, removed := flatFormError(os.Args[1:]); removed {
+	if msg, removed := flatFormError(args); removed {
 		fmt.Fprintln(os.Stderr, msg)
-		os.Exit(2)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+	cmd, args := args[0], args[1:]
 	switch cmd {
 	case "run":
-		os.Exit(cmdRun(args))
-	case "bench":
-		os.Exit(cmdBench(args))
-	case "gate":
-		os.Exit(cmdGate(args))
+		return cmdRun(args)
 	case "serve":
-		os.Exit(serve.Main(args))
+		return serve.Main(args)
 	case "load":
-		os.Exit(cmdLoad(args))
+		return cmdLoad(args)
 	case "gen":
-		os.Exit(cmdGen(args))
+		return cmdGen(args)
 	case "list":
-		os.Exit(cmdList(args))
+		return cmdList(args)
 	case "loc":
-		os.Exit(cmdLoc(args))
+		return cmdLoc(args)
 	case "help", "-h", "--help":
 		usage(os.Stdout)
-		os.Exit(0)
+		return 0
 	default:
 		fmt.Fprintf(os.Stderr, "mlbench: unknown command %q\n\n", cmd)
 		usage(os.Stderr)
-		os.Exit(2)
+		return 2
 	}
 }
 
@@ -87,8 +84,6 @@ func usage(w io.Writer) {
 
 Commands:
   run    run figures (or one cell) and print the virtual-clock tables
-  bench  wall-time figures at 1 worker vs the full pool (BENCH_host.json)
-  gate   performance-regression gate: measure, record, compare baselines
   serve  long-running experiment service (HTTP/JSON + SSE; see cmd/mlbenchd)
   load   replay a time-compressed traffic profile against mlbenchd, judge SLOs
   gen    generate a synthetic dataset from a spec file or named scenario
@@ -99,9 +94,8 @@ Run 'mlbench <command> -h' for that command's flags.
 `)
 }
 
-// specFlags registers the RunSpec-shaped flags shared by `run` and the
-// legacy flat form, and returns a builder that assembles the spec after
-// parsing.
+// specFlags registers the RunSpec-shaped flags of `run` and returns a
+// builder that assembles the spec after parsing.
 func specFlags(fs *flag.FlagSet) func() core.RunSpec {
 	figure := fs.String("figure", "", "figure id to run (fig1a..fig6 from the paper; fig7, fig7b, fig7c measure failure recovery; fig-ps adds the parameter-server engine head-to-head); empty = all")
 	row := fs.String("row", "", "with -col, narrow the run to a single table cell (row label)")
@@ -278,121 +272,6 @@ func printCellNotes(t *core.Table) {
 	fmt.Println()
 }
 
-func cmdBench(args []string) int {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	buildSpec := specFlags(fs)
-	benchout := fs.String("benchout", "BENCH_host.json", "output path for the wall-time measurements")
-	fs.Parse(args)
-	return hostBench(buildSpec(), *benchout)
-}
-
-// hostBench wall-times the selected figure at 1 worker vs the full pool
-// and writes the versioned benchmark JSON.
-func hostBench(spec core.RunSpec, benchout string) int {
-	ids := []string{"fig4b"}
-	if spec.Figure != "" {
-		ids = []string{spec.Figure}
-	}
-	records, err := bench.RunHostBench(context.Background(), ids, spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return exitCodeFor(err)
-	}
-	for i := 0; i+1 < len(records); i += 2 {
-		seq, par := records[i], records[i+1]
-		fmt.Printf("%s (%d machines): %d workers %.2fs wall -> %d workers %.2fs wall (%.2fx), virtual %s\n",
-			seq.Figure, seq.Machines, seq.Workers, seq.WallSec, par.Workers, par.WallSec,
-			seq.WallSec/par.WallSec, bench.FormatDuration(seq.VirtualSec))
-	}
-	doc := perfgate.NewFile()
-	doc.Figures = records
-	if err := doc.WriteFile(benchout); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (schema v%d)\n", benchout, perfgate.SchemaVersion)
-	return 0
-}
-
-// gateParams carries the `gate` knobs shared with the legacy flat form.
-type gateParams struct {
-	spec      core.RunSpec
-	baseline  string
-	benchout  string
-	gatereps  int
-	gatetol   float64
-	alloctol  float64
-	canary    float64
-	gatecells bool
-}
-
-func gateFlags(fs *flag.FlagSet, buildSpec func() core.RunSpec) func() gateParams {
-	baseline := fs.String("baseline", "", "baseline JSON to compare the current measurement against")
-	benchout := fs.String("benchout", "BENCH_host.json", "output path for the measurements")
-	gatereps := fs.Int("gatereps", perfgate.DefaultReps, "timed repetitions per benchmark (min-of-N plus median)")
-	gatediv := fs.Float64("gatediv", perfgate.GateScaleDiv, "scale divisor for the figure-cell benchmarks")
-	gatetol := fs.Float64("gatetol", perfgate.DefaultTolerance, "relative wall-time tolerance before a regression is fatal")
-	alloctol := fs.Float64("alloctol", perfgate.DefaultAllocTolerance, "relative allocs/op tolerance (growth beyond it is a hard failure)")
-	canary := fs.Float64("canary", 1, "seeded slowdown multiplier on measured wall times (2 = the self-test canary that must trip the gate)")
-	gatecells := fs.Bool("gatecells", true, "include the per-figure-cell benchmarks")
-	return func() gateParams {
-		spec := buildSpec()
-		spec.Iterations = 1
-		spec.ScaleDiv = *gatediv
-		return gateParams{
-			spec: spec, baseline: *baseline, benchout: *benchout,
-			gatereps: *gatereps, gatetol: *gatetol, alloctol: *alloctol,
-			canary: *canary, gatecells: *gatecells,
-		}
-	}
-}
-
-func cmdGate(args []string) int {
-	fs := flag.NewFlagSet("gate", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "host goroutines per run (0 = GOMAXPROCS)")
-	buildGate := gateFlags(fs, func() core.RunSpec {
-		return core.RunSpec{Seed: *seed, Workers: *workers}
-	})
-	fs.Parse(args)
-	return benchGate(buildGate())
-}
-
-// benchGate runs the performance gate: measure every figure cell at
-// reduced scale plus the hot-path microbenchmarks, write the benchmark
-// JSON, compare against a baseline if given, and exit nonzero on
-// regression.
-func benchGate(g gateParams) int {
-	doc, err := perfgate.Collect(perfgate.CollectOptions{
-		Spec:      g.spec,
-		Harness:   perfgate.HarnessOptions{Reps: g.gatereps, Slowdown: g.canary, Log: logf},
-		SkipCells: !g.gatecells,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gate: %v\n", err)
-		return 1
-	}
-	if err := doc.WriteFile(g.benchout); err != nil {
-		fmt.Fprintf(os.Stderr, "gate: %v\n", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (%d benchmarks, schema v%d)\n", g.benchout, len(doc.Benchmarks), perfgate.SchemaVersion)
-	if g.baseline == "" {
-		return 0
-	}
-	base, err := perfgate.ReadFile(g.baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gate: %v\n", err)
-		return 1
-	}
-	report := perfgate.Compare(base, doc, perfgate.GateOptions{Tolerance: g.gatetol, AllocTolerance: g.alloctol})
-	fmt.Print(report.Render())
-	if report.Failed() {
-		return 1
-	}
-	return 0
-}
-
 func cmdList(args []string) int {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	fs.Parse(args)
@@ -421,11 +300,6 @@ func flatFormError(args []string) (string, bool) {
 	if len(args) == 0 || !strings.HasPrefix(args[0], "-") {
 		return "", false
 	}
-	return fmt.Sprintf("mlbench: top-level flags were removed; use `mlbench run %s` (gate: `mlbench gate ...`, wall-time: `mlbench bench ...`; see `mlbench help`)",
+	return fmt.Sprintf("mlbench: top-level flags were removed; use `mlbench run %s` (see `mlbench help`)",
 		strings.Join(args, " ")), true
-}
-
-// logf is the gate progress sink: one line per measured benchmark.
-func logf(format string, args ...any) {
-	fmt.Printf(format+"\n", args...)
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,6 +33,75 @@ func TestSubcommandsNotFlatForm(t *testing.T) {
 		if _, removed := flatFormError(args); removed {
 			t.Errorf("args %v wrongly treated as the removed flat form", args)
 		}
+	}
+}
+
+// The host-timing subcommands are gone (benchmark/ is the one host-timing
+// stack): `bench` and `gate` exit 2 as unknown commands, and usage no
+// longer lists them.
+func TestRemovedSubcommands(t *testing.T) {
+	for _, args := range [][]string{{"bench"}, {"bench", "-figure", "fig6"}, {"gate"}, {"gate", "-baseline", "baseline.json"}} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			if got := dispatch(args); got != 2 {
+				t.Errorf("mlbench %v exited %d, want 2 (unknown command)", args, got)
+			}
+		})
+	}
+	t.Run("usage", func(t *testing.T) {
+		var b strings.Builder
+		usage(&b)
+		for _, cmd := range []string{"run", "serve", "load", "gen", "list", "loc"} {
+			if !strings.Contains(b.String(), "\n  "+cmd+" ") {
+				t.Errorf("usage does not list %q:\n%s", cmd, b.String())
+			}
+		}
+		for _, cmd := range []string{"bench", "gate"} {
+			if strings.Contains(b.String(), "\n  "+cmd+" ") {
+				t.Errorf("usage still lists removed command %q:\n%s", cmd, b.String())
+			}
+		}
+	})
+}
+
+// dispatchArg, as the first argument of the test binary, makes TestMain
+// run the rest of the arguments as an mlbench command line and exit with
+// its code. Flag sets are built inside each subcommand and `-h` exits the
+// process, so TestFlagSetsPinned reads them from a child process.
+const dispatchArg = "mlbench-dispatch"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == dispatchArg {
+		os.Exit(dispatch(os.Args[2:]))
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlagSetsPinned: each subcommand's flag set — names, types,
+// defaults and help text, as `mlbench <cmd> -h` prints them — matches
+// testdata/usage/<cmd>.txt byte for byte. A flag change must update
+// the file (`go run ./cmd/mlbench <cmd> -h 2> cmd/mlbench/testdata/usage/<cmd>.txt`).
+func TestFlagSetsPinned(t *testing.T) {
+	for _, cmd := range []string{"run", "serve", "load", "gen", "list", "loc"} {
+		t.Run(cmd, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "usage", cmd+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stderr bytes.Buffer
+			c := exec.Command(os.Args[0], dispatchArg, cmd, "-h")
+			c.Stderr = &stderr
+			if err := c.Run(); err != nil {
+				// -h exits 0 under flag.ExitOnError; serve parses with
+				// ContinueOnError and returns 2 after printing the usage.
+				var exit *exec.ExitError
+				if !errors.As(err, &exit) {
+					t.Fatal(err)
+				}
+			}
+			if got := stderr.String(); got != string(want) {
+				t.Errorf("mlbench %s -h:\n%s\nwant:\n%s", cmd, got, want)
+			}
+		})
 	}
 }
 
@@ -69,16 +141,20 @@ func TestRunExitCodes(t *testing.T) {
 		{"ok", tiny, 0},
 	}
 	for _, c := range cases {
-		if got := cmdRun(c.args); got != c.want {
-			t.Errorf("%s: mlbench run %v exited %d, want %d", c.name, c.args, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if got := cmdRun(c.args); got != c.want {
+				t.Errorf("mlbench run %v exited %d, want %d", c.args, got, c.want)
+			}
+		})
 	}
 
 	// Cancellation is an execution error, not a validation error.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := core.Execute(ctx, core.RunSpec{Figure: "fig6", Iterations: 1, ScaleDiv: 0.02}, core.ExecOptions{})
-	if err == nil || exitCodeFor(err) != 1 {
-		t.Errorf("cancelled run: err %v, exit %d, want exit 1", err, exitCodeFor(err))
-	}
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := core.Execute(ctx, core.RunSpec{Figure: "fig6", Iterations: 1, ScaleDiv: 0.02}, core.ExecOptions{})
+		if err == nil || exitCodeFor(err) != 1 {
+			t.Errorf("cancelled run: err %v, exit %d, want exit 1", err, exitCodeFor(err))
+		}
+	})
 }

@@ -1,9 +1,9 @@
 package bench
 
 // CellRef addresses one runnable cell of a registered figure by its
-// rendered labels. The perf gate (internal/perfgate) enumerates refs to
-// wall-time every table cell individually, so a regression report can
-// name the exact experiment that slowed down.
+// rendered labels. The repository benchmark (benchmark/) is the cell
+// enumerator: it checks every cell a workload names against
+// RunnableCellRefs before it times anything.
 type CellRef struct {
 	Figure string
 	Row    string

@@ -106,37 +106,7 @@ func clip(s string, i int) string {
 	return s[lo:hi]
 }
 
-// TestHostBenchWritesRecords exercises the -hostbench path on a small
-// figure: two records per figure, matching worker counts, and the same
-// virtual time in both (wall time may differ; virtual time must not).
-func TestHostBenchWritesRecords(t *testing.T) {
-	s := RunSpec{Iterations: 1, Seed: 3}
-	if testing.Short() {
-		s.ScaleDiv = 0.1
-	}
-	records, err := RunHostBench(context.Background(), []string{"fig6"}, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 2 {
-		t.Fatalf("records = %d, want 2", len(records))
-	}
-	seq, par := records[0], records[1]
-	if seq.Workers != 1 || par.Workers < 1 {
-		t.Errorf("worker counts = %d, %d", seq.Workers, par.Workers)
-	}
-	if seq.VirtualSec != par.VirtualSec {
-		t.Errorf("virtual time depends on workers: %v vs %v", seq.VirtualSec, par.VirtualSec)
-	}
-	if seq.VirtualSec <= 0 {
-		t.Errorf("virtual time = %v, want > 0", seq.VirtualSec)
-	}
-	if seq.Figure != "fig6" || seq.Machines != 100 {
-		t.Errorf("record metadata: %+v", seq)
-	}
-}
-
-// TestRunnableCellRefs checks the perf-gate cell enumeration: NA cells
+// TestRunnableCellRefs checks the benchmark's cell enumeration: NA cells
 // are excluded and every ref is a cell spec Validate accepts. (That a
 // cell spec yields the cell the whole-figure spec produces is
 // TestExecuteSpecCellMatchesFigureSpec.)

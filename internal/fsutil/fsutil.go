@@ -1,8 +1,8 @@
 // Package fsutil holds the file-output helpers shared by every code
 // path that writes an artifact to a user-supplied path (trace exports,
-// perf-gate baselines, generated datasets): parent directories are
-// created as needed so a path into a fresh results directory succeeds
-// instead of failing with a bare "open: no such file or directory".
+// generated datasets): parent directories are created as needed so a
+// path into a fresh results directory succeeds instead of failing with
+// a bare "open: no such file or directory".
 package fsutil
 
 import (
@@ -31,12 +31,4 @@ func Create(path string) (*os.File, error) {
 		return nil, err
 	}
 	return os.Create(path)
-}
-
-// WriteFile is os.WriteFile preceded by EnsureParent.
-func WriteFile(path string, data []byte, perm os.FileMode) error {
-	if err := EnsureParent(path); err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, perm)
 }

@@ -6,17 +6,6 @@ import (
 	"testing"
 )
 
-func TestWriteFileCreatesParents(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a", "b", "out.json")
-	if err := WriteFile(path, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "x" {
-		t.Fatalf("read back: %q, %v", data, err)
-	}
-}
-
 func TestCreateCreatesParents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "deep", "dir", "f.txt")
 	f, err := Create(path)

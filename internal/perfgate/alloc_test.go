@@ -8,11 +8,9 @@ import (
 )
 
 // Absolute allocs/op ceilings for the streamed-partition substrate.
-// The baseline comparison in Compare only catches drift between two gate
-// runs; these ceilings pin the substrate's allocation behaviour in
-// absolute terms, so a change that reintroduces per-element or
-// per-machine-quadratic allocation fails `go test` directly with no
-// baseline file needed.
+// They pin the substrate's allocation behaviour in absolute terms, so a
+// change that reintroduces per-element or per-machine-quadratic
+// allocation fails `go test` directly with no baseline needed.
 
 // Streaming a partition through a pooled cursor must not allocate per
 // element: one warm pass over 64k elements is a cursor, a pooled buffer

@@ -12,11 +12,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden figure snapshots under testdata/golden/")
 
+// goldenScaleDiv records the goldens at 50x less real data than the
+// paper tables, which keeps the full sweep fast.
+const goldenScaleDiv = 0.02
+
 // goldenSpec is the fixed spec every golden snapshot is recorded under.
 // Changing any cache-keyed field of it invalidates every golden file —
 // regenerate with -update and review the diff.
 func goldenSpec(id string, workers int) bench.RunSpec {
-	return bench.RunSpec{Figure: id, Iterations: 1, Seed: 1, ScaleDiv: GateScaleDiv, Workers: workers}
+	return bench.RunSpec{Figure: id, Iterations: 1, Seed: 1, ScaleDiv: goldenScaleDiv, Workers: workers}
 }
 
 func goldenPath(id string) string {
@@ -35,7 +39,7 @@ func goldenPath(id string) string {
 // rot silently.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full figure sweep; run without -short (the CI test and benchgate jobs do)")
+		t.Skip("full figure sweep; run without -short (the CI test job does)")
 	}
 	for _, id := range bench.FigureIDs() {
 		t.Run(id, func(t *testing.T) {

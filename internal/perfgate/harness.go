@@ -13,7 +13,7 @@ import (
 // if any single rep is clean, the median if three are).
 const DefaultReps = 5
 
-// Spec is one gate benchmark: Run must execute exactly n operations of
+// Spec is one timed benchmark: Run must execute exactly n operations of
 // the measured code path. Fixture construction belongs in the closure
 // that builds the Spec, not in Run, so only the hot path is timed.
 type Spec struct {
@@ -23,17 +23,16 @@ type Spec struct {
 	Run    func(n int) error
 }
 
-// Result is one measured benchmark in the BENCH_host.json benchmarks
-// section. MinNS is the noise-robust statistic (the fastest repetition
-// is the least-perturbed one); MedianNS guards against a lucky single
-// repetition. Fields are declared in json-key order; see SchemaVersion.
+// Result is one measured benchmark. MinNS is the noise-robust statistic
+// (the fastest repetition is the least-perturbed one); MedianNS guards
+// against a lucky single repetition.
 type Result struct {
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	MedianNS    float64 `json:"median_ns"`
-	MinNS       float64 `json:"min_ns"`
-	Name        string  `json:"name"`
-	Reps        int     `json:"reps"`
+	AllocsPerOp float64
+	BytesPerOp  float64
+	MedianNS    float64
+	MinNS       float64
+	Name        string
+	Reps        int
 }
 
 // HarnessOptions tunes the measurement loop.
@@ -41,22 +40,6 @@ type HarnessOptions struct {
 	// Reps is the number of timed repetitions per spec (default
 	// DefaultReps).
 	Reps int
-	// Slowdown multiplies every measured wall time (default 1). Values
-	// above 1 are the seeded regression canary: a gate whose baseline was
-	// recorded at 1 must trip when the same code is measured at 2.
-	Slowdown float64
-	// Log, when non-nil, receives one progress line per spec.
-	Log func(format string, args ...any)
-}
-
-func (o HarnessOptions) withDefaults() HarnessOptions {
-	if o.Reps <= 0 {
-		o.Reps = DefaultReps
-	}
-	if o.Slowdown == 0 {
-		o.Slowdown = 1
-	}
-	return o
 }
 
 // acc accumulates one spec's repetitions.
@@ -67,10 +50,9 @@ type acc struct {
 }
 
 // timeRep runs one timed repetition of spec. The forced GC collects the
-// previous repetitions' (and, under MeasureAll, the other specs')
-// garbage outside the timed window, so collector pacing cannot land on
-// random reps.
-func timeRep(spec Spec, o HarnessOptions, rep int, a *acc) error {
+// previous repetitions' garbage outside the timed window, so collector
+// pacing cannot land on random reps.
+func timeRep(spec Spec, rep int, a *acc) error {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -81,7 +63,7 @@ func timeRep(spec Spec, o HarnessOptions, rep int, a *acc) error {
 	if err != nil {
 		return fmt.Errorf("perfgate: %s rep %d: %w", spec.Name, rep, err)
 	}
-	a.perOp = append(a.perOp, o.Slowdown*float64(wall.Nanoseconds())/float64(spec.N))
+	a.perOp = append(a.perOp, float64(wall.Nanoseconds())/float64(spec.N))
 	allocs := float64(m1.Mallocs-m0.Mallocs) / float64(spec.N)
 	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(spec.N)
 	if rep == 0 || allocs < a.allocs {
@@ -93,7 +75,7 @@ func timeRep(spec Spec, o HarnessOptions, rep int, a *acc) error {
 	return nil
 }
 
-func (a *acc) result(name string, o HarnessOptions) Result {
+func (a *acc) result(name string) Result {
 	sort.Float64s(a.perOp)
 	return Result{
 		Name:        name,
@@ -120,60 +102,21 @@ func warmup(spec Spec) error {
 // Measure runs one spec through the warmup-then-N-repetitions loop and
 // aggregates wall ns/op and allocs/op. Allocation counts come from the
 // global runtime counters, so the harness assumes it is the only load on
-// the process (true for the mlbench gate CLI); the minimum across
-// repetitions discards stray background allocations.
+// the process; the minimum across repetitions discards stray background
+// allocations.
 func Measure(spec Spec, o HarnessOptions) (Result, error) {
-	o = o.withDefaults()
+	reps := o.Reps
+	if reps <= 0 {
+		reps = DefaultReps
+	}
 	if err := warmup(spec); err != nil {
 		return Result{}, err
 	}
-	a := acc{perOp: make([]float64, 0, o.Reps)}
-	for i := 0; i < o.Reps; i++ {
-		if err := timeRep(spec, o, i, &a); err != nil {
+	a := acc{perOp: make([]float64, 0, reps)}
+	for i := 0; i < reps; i++ {
+		if err := timeRep(spec, i, &a); err != nil {
 			return Result{}, err
 		}
 	}
-	res := a.result(spec.Name, o)
-	if o.Log != nil {
-		o.Log("%-40s %12.0f ns/op (min of %d)  %8.1f allocs/op", spec.Name, res.MinNS, o.Reps, res.AllocsPerOp)
-	}
-	return res, nil
-}
-
-// MeasureAll runs every spec and returns results in spec order. Unlike
-// calling Measure per spec, repetitions are interleaved round-robin
-// across all specs: every spec's rep 0 runs before any spec's rep 1.
-// A sustained interference window (VM steal, thermal throttling, a
-// backup job) then inflates at most one or two repetitions of EVERY
-// benchmark — which min-of-N and the median absorb — instead of every
-// repetition of the few benchmarks unlucky enough to run inside it.
-func MeasureAll(specs []Spec, o HarnessOptions) ([]Result, error) {
-	o = o.withDefaults()
-	for _, s := range specs {
-		if err := warmup(s); err != nil {
-			return nil, err
-		}
-	}
-	accs := make([]acc, len(specs))
-	for i := range accs {
-		accs[i].perOp = make([]float64, 0, o.Reps)
-	}
-	for rep := 0; rep < o.Reps; rep++ {
-		if o.Log != nil {
-			o.Log("— round %d/%d —", rep+1, o.Reps)
-		}
-		for i, s := range specs {
-			if err := timeRep(s, o, rep, &accs[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	results := make([]Result, len(specs))
-	for i, s := range specs {
-		results[i] = accs[i].result(s.Name, o)
-		if o.Log != nil {
-			o.Log("%-40s %12.0f ns/op (min of %d)  %8.1f allocs/op", s.Name, results[i].MinNS, o.Reps, results[i].AllocsPerOp)
-		}
-	}
-	return results, nil
+	return a.result(spec.Name), nil
 }

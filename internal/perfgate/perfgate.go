@@ -1,10 +1,9 @@
-// Package perfgate is the repo's performance-regression gate: the first
-// closed feedback loop between the BENCH_host.json trajectory and the
-// merge decision. The paper's entire contribution is a table of numbers,
-// and three layers of this reproduction (fault recovery, host-parallel
-// execution, virtual-clock tracing) can each silently shift those
-// numbers or the host wall time they cost to produce. This package gates
-// both directions of drift:
+// Package perfgate pins the reproduction's output and the host-side cost
+// of its hot paths. The paper's entire contribution is a table of
+// numbers, and three layers of this reproduction (fault recovery,
+// host-parallel execution, virtual-clock tracing) can each silently
+// shift those numbers or the host work they cost to produce. The
+// package holds:
 //
 //   - Golden-figure snapshots (snapshot.go): every figure's virtual-clock
 //     table — per-iteration and init times, Fail cells, recovery notes —
@@ -13,92 +12,17 @@
 //     any diff is a real semantic change; acknowledge one by regenerating
 //     with `go test ./internal/perfgate -run TestGoldenFigures -update`.
 //
-//   - A host-wall benchmark harness (harness.go, specs.go): every figure
-//     cell at reduced scale plus microbenchmarks for the hot paths (alias
-//     sampler, Lasso Gram fold, RunPhase barrier merge, trace export),
-//     run with warmups and N repetitions, recording wall ns/op and
-//     allocs/op next to an environment fingerprint.
+//   - Absolute allocation ceilings (alloc_test.go) on the streamed
+//     partition substrate, the wide RunPhase barrier and the Lasso Gram
+//     fold, which fail `go test` directly with no baseline needed.
 //
-//   - A statistical comparator (compare.go): min-of-N plus median with a
-//     configurable noise tolerance, a hard fail on allocs/op growth, and
-//     warn-only environment mismatches, exposed as
-//     `mlbench gate -baseline <json>` which exits nonzero on
-//     regression.
+//   - A deterministic serving replay (serving.go): a fixed traffic
+//     profile driven through the load replayer against a fake-clock
+//     autoscaling server, whose outcome is pinned in absolute terms.
+//
+//   - A wall-time harness (harness.go) and the micro specs it runs
+//     (specs.go, serving.go): warmup then N repetitions, reporting
+//     min-of-N and median ns/op plus allocs/op. The repository benchmark
+//     (benchmark/) imports these specs for its per-layer probes; it is
+//     the one place host wall time is compared between two commits.
 package perfgate
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-
-	"mlbench/internal/bench"
-	"mlbench/internal/fsutil"
-)
-
-// SchemaVersion is the BENCH_host.json document version. Version 1 was a
-// bare array of hostbench records with unsorted keys; version 2 is the
-// File document below, whose struct fields are all declared in json-key
-// order so encoding/json emits sorted keys and two CI runs diff cleanly.
-const SchemaVersion = 2
-
-// File is the versioned BENCH_host.json document. The figures section
-// holds `mlbench bench` wall-vs-virtual speedup records; the benchmarks
-// section holds the `mlbench gate` harness results that the comparator
-// consumes as a baseline.
-type File struct {
-	Benchmarks []Result                `json:"benchmarks,omitempty"`
-	Env        Env                     `json:"env"`
-	Figures    []bench.HostBenchRecord `json:"figures,omitempty"`
-	Version    int                     `json:"version"`
-}
-
-// NewFile returns an empty document stamped with the current schema
-// version and host environment.
-func NewFile() *File {
-	return &File{Env: CaptureEnv(), Version: SchemaVersion}
-}
-
-// Marshal renders the document as indented JSON with a trailing newline.
-func (f *File) Marshal() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// WriteFile writes the document to path, creating parent directories as
-// needed (a -benchout path into a fresh results directory must not fail
-// with a bare open error).
-func (f *File) WriteFile(path string) error {
-	data, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := fsutil.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("perfgate: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadFile parses a versioned BENCH_host.json. A version 1 file (the
-// pre-gate bare array) is rejected with a regeneration hint rather than
-// a JSON type error.
-func ReadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		var v1 []bench.HostBenchRecord
-		if json.Unmarshal(data, &v1) == nil {
-			return nil, fmt.Errorf("perfgate: %s is a schema v1 array; regenerate it with mlbench bench or mlbench gate", path)
-		}
-		return nil, fmt.Errorf("perfgate: parse %s: %w", path, err)
-	}
-	if f.Version != SchemaVersion {
-		return nil, fmt.Errorf("perfgate: %s has schema version %d, want %d; regenerate the baseline", path, f.Version, SchemaVersion)
-	}
-	return &f, nil
-}

@@ -1,7 +1,6 @@
 package perfgate
 
 import (
-	"fmt"
 	"time"
 
 	"mlbench/internal/core"
@@ -10,11 +9,11 @@ import (
 )
 
 // servingProfile is the fixed in-memory traffic profile behind the
-// serving section of the gate: a short ramp into a bursty plateau with a
+// serving replay: a short ramp into a bursty plateau with a
 // hot (cacheable) and a cold (unique-seed) template, sized so the bursts
 // overflow the fake server's queue and the autoscaler has to act. It
-// lives in code rather than under profiles/ so the gate cannot drift
-// apart from a checked-in file it does not own.
+// lives in code rather than under profiles/ so the pinned replay cannot
+// drift apart from a checked-in file it does not own.
 func servingProfile() core.Profile {
 	return core.Profile{
 		Name:        "gate-replay",
@@ -34,7 +33,7 @@ func servingProfile() core.Profile {
 	}.Normalize()
 }
 
-// servingReplay runs the gate profile once on a fresh fake clock and
+// servingReplay runs the replay profile once on a fresh fake clock and
 // fake autoscaling server. Everything is deterministic: the same binary
 // always produces the identical Summary.
 func servingReplay() (*loadgen.Result, error) {
@@ -56,11 +55,11 @@ func servingReplay() (*loadgen.Result, error) {
 	})
 }
 
-// servingReplaySpec: one op = one full replay of the gate profile
-// (schedule expansion, the discrete-event driver loop, every HTTP round
-// trip through the in-process transport, timeline aggregation). This is
-// the wall-time cost of the serving test battery itself, so a driver
-// slowdown shows up in the gate like any other hot path.
+// servingReplaySpec: one op = one full replay of the profile (schedule
+// expansion, the discrete-event driver loop, every HTTP round trip
+// through the in-process transport, timeline aggregation). This is the
+// wall-time cost of the serving test battery itself, so a driver
+// slowdown shows up like any other hot path.
 func servingReplaySpec() Spec {
 	return Spec{
 		Name:   "micro:loadgen-replay",
@@ -82,37 +81,4 @@ func servingReplaySpec() Spec {
 // ServingSpecs returns the timed serving-section benchmarks.
 func ServingSpecs() []Spec {
 	return []Spec{servingReplaySpec()}
-}
-
-// ServingSLOResults replays the gate profile once and pins its key
-// serving outcomes as synthetic benchmark entries. Unlike the timed
-// micros these are fully deterministic (fake clock, discrete-event
-// server), so a baseline comparison passes exactly until a change to
-// serve, loadgen, or the autoscaler policy moves one of them — at which
-// point the gate diff names precisely which serving behavior shifted.
-// The p99 entry is stored in nanoseconds; the count entries carry the
-// raw count in both wall-time fields, which the ratio-based comparator
-// judges the same way.
-func ServingSLOResults() ([]Result, error) {
-	res, err := servingReplay()
-	if err != nil {
-		return nil, fmt.Errorf("perfgate: serving replay: %w", err)
-	}
-	s := res.Summary
-	pin := func(name string, v float64) Result {
-		return Result{Name: name, Reps: 1, MinNS: v, MedianNS: v}
-	}
-	out := []Result{
-		pin("slo:replay-p99", s.P99Ms*1e6),
-		pin("slo:replay-completed", float64(s.Completed)),
-		pin("slo:replay-rejected-429", float64(s.Rejected429)),
-		pin("slo:replay-cache-hits", float64(s.CacheHits)),
-		pin("slo:replay-max-workers", float64(s.MaxWorkers)),
-	}
-	for _, r := range out {
-		if r.MinNS <= 0 {
-			return nil, fmt.Errorf("perfgate: serving gate entry %s is zero — the profile no longer exercises it", r.Name)
-		}
-	}
-	return out, nil
 }

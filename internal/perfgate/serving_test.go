@@ -1,43 +1,45 @@
 package perfgate
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
-// TestServingSLOResultsDeterministic: the serving section's slo: entries
-// come from a fake-clock replay, so two independent collections must be
-// identical to the bit — that is what lets the gate compare them with
-// zero tolerance for drift — and a self-comparison through the real
-// comparator must pass.
-func TestServingSLOResultsDeterministic(t *testing.T) {
-	a, err := ServingSLOResults()
+// TestServingReplayPinned: the serving replay runs on a fake clock
+// against a discrete-event server, so two replays must produce the
+// identical Summary, and its key outcomes are pinned in absolute terms.
+// A change to serve, loadgen or the autoscaler policy that moves one of
+// them fails here; if the move is intended, update the pinned value.
+func TestServingReplayPinned(t *testing.T) {
+	a, err := servingReplay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ServingSLOResults()
+	b, err := servingReplay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("entry counts differ: %d vs %d", len(a), len(b))
+	if !reflect.DeepEqual(a.Summary, b.Summary) {
+		t.Errorf("summary drifted between replays:\n%+v\nvs\n%+v", a.Summary, b.Summary)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("entry %d drifted between replays: %+v vs %+v", i, a[i], b[i])
-		}
-		if !strings.HasPrefix(a[i].Name, "slo:") {
-			t.Errorf("entry %d name %q missing slo: prefix", i, a[i].Name)
-		}
-		if a[i].MinNS <= 0 || a[i].MedianNS != a[i].MinNS {
-			t.Errorf("entry %s not pinned: %+v", a[i].Name, a[i])
-		}
-	}
-
-	base, cur := NewFile(), NewFile()
-	base.Benchmarks, cur.Benchmarks = a, b
-	if rep := Compare(base, cur, GateOptions{}); rep.Failed() {
-		t.Errorf("self-comparison of the serving entries failed:\n%s", rep.Render())
+	s := a.Summary
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p99 ms", s.P99Ms, 28.125},
+		{"completed", float64(s.Completed), 70},
+		{"rejected 429", float64(s.Rejected429), 6},
+		{"cache hits", float64(s.CacheHits), 44},
+		{"max workers", float64(s.MaxWorkers), 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.got <= 0 {
+				t.Errorf("%s is %v: the profile no longer exercises it", c.name, c.got)
+			} else if c.got != c.want {
+				t.Errorf("%s = %v, pinned %v", c.name, c.got, c.want)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,9 @@
 package perfgate
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"mlbench/internal/bench"
 	"mlbench/internal/datagen"
 	"mlbench/internal/linalg"
 	"mlbench/internal/models/hmm"
@@ -16,11 +14,6 @@ import (
 	"mlbench/internal/trace"
 	"mlbench/internal/workload"
 )
-
-// GateScaleDiv is the default scale divisor for the figure-cell specs:
-// 50x less real data than the paper tables, because the gate measures
-// host wall time of the simulation machinery, which scale barely moves.
-const GateScaleDiv = 0.02
 
 // Sink defeats dead-code elimination in the micro specs.
 var Sink float64
@@ -47,7 +40,7 @@ func MicroSpecs() []Spec {
 }
 
 // MHDocLen is the document length shared by the MH micro specs and the
-// speedup gate test: one op resamples this many tokens.
+// speedup tests: one op resamples this many tokens.
 const MHDocLen = 64
 
 // ldaResampleSpec builds an LDA resampling benchmark for the given tier
@@ -231,9 +224,8 @@ func runPhaseMergeSpec() Spec {
 // through a pooled chunked cursor at the default chunk size — the
 // streamed-partition substrate's hot loop. The pool must hold allocs/op
 // to a handful of chunk-buffer reuses; regressions here multiply across
-// every machine of a 10,000-machine sweep, so the gate's hard allocs/op
-// comparison is the backstop for the substrate (see also the absolute
-// ceilings in TestStreamSubstrateAllocCeilings).
+// every machine of a 10,000-machine sweep (the absolute ceilings in
+// TestStreamSubstrateAllocCeilings pin it).
 func sourceStreamSpec() Spec {
 	const n = 65_536
 	src := sim.NewSource(n, 0, func() func() float64 {
@@ -257,9 +249,9 @@ func sourceStreamSpec() Spec {
 
 // runPhaseWideSpec: one op = one RunPhaseF over a 10,000-machine cluster
 // on a bounded worker pool — the fan-out shape every fig-scale phase
-// pays. Scratch reuse keeps the per-phase allocations flat; the gate's
-// allocs/op hard fail catches a 10,000-machine sweep quietly going
-// allocation-quadratic again.
+// pays. Scratch reuse keeps the per-phase allocations flat;
+// TestStreamSubstrateAllocCeilings catches a 10,000-machine sweep
+// quietly going allocation-quadratic again.
 func runPhaseWideSpec() Spec {
 	cfg := sim.DefaultConfig(10_000)
 	cfg.Scale = 1000
@@ -344,86 +336,4 @@ func datagenCorpusSpec() Spec {
 			return nil
 		},
 	}
-}
-
-// CellSpecs returns one spec per runnable figure cell at the gate's
-// reduced scale: one op = the cell's full simulated run through
-// bench.ExecuteSpec. Expected Fail cells (the paper's OOM entries) still
-// measure — the wall time of reaching the OOM is as gateable as any
-// other. The spec's Figure, cell selection, and trace fields are ignored:
-// the gate enumerates every runnable cell, untraced.
-func CellSpecs(rs bench.RunSpec) []Spec {
-	rs.Trace = bench.TraceSpec{}
-	refs := bench.RunnableCellRefs(rs.Options())
-	specs := make([]Spec, 0, len(refs))
-	for _, ref := range refs {
-		cell := rs
-		cell.Figure, cell.Row, cell.Col = ref.Figure, ref.Row, ref.Col
-		specs = append(specs, Spec{
-			Name: "cell:" + ref.String(),
-			N:    1,
-			Run: func(n int) error {
-				for i := 0; i < n; i++ {
-					if _, err := bench.ExecuteSpec(context.Background(), cell, bench.ExecOptions{}); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		})
-	}
-	return specs
-}
-
-// CollectOptions configures one gate measurement pass.
-type CollectOptions struct {
-	// Spec configures the figure-cell runs (the same core.RunSpec the CLI
-	// and the experiment service use); zero fields default to Iterations
-	// 1, ScaleDiv GateScaleDiv, Seed 1.
-	Spec bench.RunSpec
-	// Harness tunes reps, the slowdown canary, and progress logging.
-	Harness HarnessOptions
-	// SkipMicros / SkipCells drop a section (both run by default).
-	SkipMicros bool
-	SkipCells  bool
-}
-
-func (o CollectOptions) withDefaults() CollectOptions {
-	if o.Spec.Iterations == 0 {
-		o.Spec.Iterations = 1
-	}
-	if o.Spec.ScaleDiv == 0 {
-		o.Spec.ScaleDiv = GateScaleDiv
-	}
-	o.Spec = o.Spec.Normalize()
-	return o
-}
-
-// Collect measures the configured spec sections into a fresh versioned
-// document ready to be written as BENCH_host.json or compared against a
-// baseline.
-func Collect(o CollectOptions) (*File, error) {
-	o = o.withDefaults()
-	f := NewFile()
-	var specs []Spec
-	if !o.SkipMicros {
-		specs = append(specs, MicroSpecs()...)
-		specs = append(specs, ServingSpecs()...)
-	}
-	if !o.SkipCells {
-		specs = append(specs, CellSpecs(o.Spec)...)
-	}
-	results, err := MeasureAll(specs, o.Harness)
-	if err != nil {
-		return nil, err
-	}
-	f.Benchmarks = results
-	if !o.SkipMicros {
-		slo, err := ServingSLOResults()
-		if err != nil {
-			return nil, err
-		}
-		f.Benchmarks = append(f.Benchmarks, slo...)
-	}
-	return f, nil
 }

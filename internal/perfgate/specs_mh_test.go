@@ -9,7 +9,7 @@ import (
 // The point of the mhalias tier is that a token draw stops paying for
 // the topic axis: the dense scan does a 3T-flop pass per token while
 // the cached MH kernel does a constant handful of alias draws and one
-// accept test. The gate pins that separation at the paper's T=100 and
+// accept test. These tests pin that separation at the paper's T=100 and
 // at the wide T=1000 axis — if the MH kernel regresses to within the
 // pinned factor of the dense scan, the tier has lost its reason to
 // exist.
