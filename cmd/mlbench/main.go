@@ -142,28 +142,44 @@ func specFlags(fs *flag.FlagSet) func() core.RunSpec {
 }
 
 func cmdRun(args []string) int {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	specs, agree, md, code := parseRun(args)
+	if specs == nil {
+		return code
+	}
+	return executeRuns(specs, agree, md)
+}
+
+// parseRun parses `mlbench run`'s arguments into the specs to execute:
+// the one the -spec file holds, or the flags' spec, fanned out over
+// every figure when -figure is empty. specs is nil when nothing should
+// run; code is then the exit status, and the reason is on stderr.
+func parseRun(args []string) (specs []core.RunSpec, agree float64, md bool, code int) {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	buildSpec := specFlags(fs)
 	specFile := fs.String("spec", "", "read the run's core.RunSpec from this JSON file ('-' = stdin) instead of the flags")
-	agree := fs.Float64("agree", 3, "agreement factor: cells within this multiple of the paper's value count as matching")
-	md := fs.Bool("md", false, "render tables as GitHub markdown (for EXPERIMENTS.md)")
-	fs.Parse(args)
+	agreeF := fs.Float64("agree", 3, "agreement factor: cells within this multiple of the paper's value count as matching")
+	mdF := fs.Bool("md", false, "render tables as GitHub markdown (for EXPERIMENTS.md)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0, false, 0
+		}
+		return nil, 0, false, 2
+	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "run: unexpected arguments: %v\n", fs.Args())
-		return 2
+		return nil, 0, false, 2
 	}
 
-	var specs []core.RunSpec
 	if *specFile != "" {
 		data, err := readSpecFile(*specFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "run: %v\n", err)
-			return 1
+			return nil, 0, false, 1
 		}
 		spec, err := core.ParseRunSpec(data)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "run: %v\n", err)
-			return 1
+			return nil, 0, false, 1
 		}
 		specs = []core.RunSpec{spec}
 	} else {
@@ -178,7 +194,7 @@ func cmdRun(args []string) int {
 			specs = []core.RunSpec{spec}
 		}
 	}
-	return executeRuns(specs, *agree, *md)
+	return specs, *agreeF, *mdF, 0
 }
 
 func readSpecFile(path string) ([]byte, error) {

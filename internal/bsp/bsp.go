@@ -40,7 +40,6 @@ type Vertex struct {
 	// Scaled marks data-proportional vertices.
 	Scaled  bool
 	machine int
-	halted  bool
 }
 
 // Machine returns the machine hosting the vertex.
@@ -121,9 +120,6 @@ func NewGraph(c *sim.Cluster) *Graph {
 // SetCombiner installs a sender-side message combiner.
 func (g *Graph) SetCombiner(c Combiner) { g.combiner = c }
 
-// Superstep returns the number of completed supersteps.
-func (g *Graph) Superstep() int { return g.step }
-
 // AddVertex inserts a vertex, placed by id hash unless machine >= 0.
 func (g *Graph) AddVertex(id VertexID, data any, bytes int64, scaled bool, machine int) *Vertex {
 	if g.loaded {
@@ -143,9 +139,6 @@ func (g *Graph) Vertex(id VertexID) *Vertex {
 	v, _ := g.verts.Get(id)
 	return v
 }
-
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.verts.Len() }
 
 // Load finalizes the graph, charging vertex state (with the JVM heap
 // factor) against machine memory.
@@ -208,12 +201,6 @@ type sharedVal struct {
 
 // Meter exposes the task meter for user-code cost charging.
 func (ctx *Context) Meter() *sim.Meter { return ctx.meter }
-
-// Superstep returns the current superstep index (0-based).
-func (ctx *Context) Superstep() int { return ctx.g.step }
-
-// NumMachines returns the cluster size.
-func (ctx *Context) NumMachines() int { return ctx.g.c.NumMachines() }
 
 // Send enqueues a message for delivery to dst in the next superstep.
 // bytes is the wire size of the payload. The simulated multiplicity is
@@ -296,9 +283,6 @@ func (ctx *Context) SetShared(name string, value any, bytes int64) {
 // Shared returns a worker-shared value published in an earlier superstep.
 func (ctx *Context) Shared(name string) any { return ctx.g.shared[name] }
 
-// VoteToHalt marks the vertex inactive; an incoming message reactivates it.
-func (ctx *Context) VoteToHalt() { ctx.v.halted = true }
-
 // RunSuperstep delivers queued messages, runs compute on every active
 // vertex, and stages the next round of messages. It returns the first
 // error, typically a simulated OOM from message buffering.
@@ -336,7 +320,6 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 			resident[v.machine] += p.simBytes
 		}
 		inbox[v.machine].Set(dst, msgs)
-		v.halted = false // messages reactivate
 	})
 	g.queue = ordmap.New[VertexID, []pending]()
 
@@ -365,9 +348,6 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 		sharedStages[machine] = shared
 		for _, v := range g.byMach[machine] {
 			msgs, _ := inbox[machine].Get(v.ID)
-			if v.halted && len(msgs) == 0 {
-				continue
-			}
 			if v.Scaled {
 				m.ChargeTuples(1 + len(msgs))
 			} else {
@@ -461,7 +441,3 @@ func (g *Graph) settleShared() error {
 	g.sharedAlloc = total
 	return nil
 }
-
-// PendingMessages reports how many destination vertices have queued
-// messages (for tests).
-func (g *Graph) PendingMessages() int { return g.queue.Len() }

@@ -33,8 +33,8 @@ func TestMessageDeliveryNextSuperstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.PendingMessages() != 1 {
-		t.Fatalf("pending = %d", g.PendingMessages())
+	if g.queue.Len() != 1 {
+		t.Fatalf("pending = %d", g.queue.Len())
 	}
 	// Step 1: vertex 2 receives it.
 	var got []float64
@@ -52,8 +52,8 @@ func TestMessageDeliveryNextSuperstep(t *testing.T) {
 	if len(got) != 1 || got[0] != 5.0 {
 		t.Errorf("vertex 2 received %v", got)
 	}
-	if g.Superstep() != 2 {
-		t.Errorf("Superstep = %d", g.Superstep())
+	if g.step != 2 {
+		t.Errorf("Superstep = %d", g.step)
 	}
 }
 
@@ -200,38 +200,6 @@ func TestSharedValues(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVoteToHaltAndReactivation(t *testing.T) {
-	g := NewGraph(testCluster(1))
-	g.AddVertex(1, nil, 8, false, 0)
-	g.AddVertex(2, nil, 8, false, 0)
-	if err := g.Load(); err != nil {
-		t.Fatal(err)
-	}
-	runs := map[VertexID]int{}
-	step := func(send bool) {
-		_ = g.RunSuperstep(func(ctx *Context, v *Vertex, msgs []Msg) error {
-			runs[v.ID]++
-			if v.ID == 2 {
-				ctx.VoteToHalt()
-			}
-			if v.ID == 1 && send {
-				ctx.Send(2, 1.0, 8)
-			}
-			return nil
-		})
-	}
-	step(false) // both run; 2 halts
-	step(false) // only 1 runs
-	if runs[2] != 1 {
-		t.Errorf("halted vertex ran %d times, want 1", runs[2])
-	}
-	step(true)  // 1 sends to 2
-	step(false) // 2 reactivated by message
-	if runs[2] != 2 {
-		t.Errorf("vertex 2 not reactivated: ran %d times", runs[2])
 	}
 }
 
@@ -397,5 +365,57 @@ func TestQuickMessageConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every vertex computes in every superstep, with or without messages:
+// the tasks drive the loop for a fixed number of supersteps.
+func TestEveryVertexComputesEachSuperstep(t *testing.T) {
+	g := NewGraph(testCluster(2))
+	for id := VertexID(1); id <= 4; id++ {
+		g.AddVertex(id, 0, 8, false, -1)
+	}
+	if err := g.Load(); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		// Machines compute concurrently: each vertex counts its own runs.
+		if err := g.RunSuperstep(func(ctx *Context, v *Vertex, msgs []Msg) error {
+			v.Data = v.Data.(int) + 1
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := VertexID(1); id <= 4; id++ {
+		if runs := g.Vertex(id).Data.(int); runs != 3 {
+			t.Errorf("vertex %d ran %d times in 3 supersteps", id, runs)
+		}
+	}
+}
+
+// A vertex lands on the machine it names, or on a machine derived from
+// its id alone, so placement never depends on insertion order.
+func TestVertexPlacement(t *testing.T) {
+	a, b := NewGraph(testCluster(4)), NewGraph(testCluster(4))
+	if v := a.AddVertex(7, nil, 8, false, 3); v.Machine() != 3 {
+		t.Errorf("explicit placement: machine %d, want 3", v.Machine())
+	}
+	for id := VertexID(10); id < 30; id++ {
+		a.AddVertex(id, nil, 8, false, -1)
+	}
+	for id := VertexID(29); id >= 10; id-- {
+		b.AddVertex(id, nil, 8, false, -1)
+	}
+	used := map[int]bool{}
+	for id := VertexID(10); id < 30; id++ {
+		ma, mb := a.Vertex(id).Machine(), b.Vertex(id).Machine()
+		if ma != mb {
+			t.Fatalf("vertex %d on machine %d or %d depending on insertion order", id, ma, mb)
+		}
+		used[ma] = true
+	}
+	if len(used) < 3 {
+		t.Errorf("20 hashed vertices used only %d of 4 machines", len(used))
 	}
 }

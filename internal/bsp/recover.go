@@ -14,11 +14,6 @@ import (
 // checkpointing off — how the paper's Giraph deployment ran — recovery is
 // a full restart: reload the graph and replay every superstep.
 
-// SetCheckpointInterval sets the number of supersteps between checkpoint
-// writes (0 disables checkpointing). The cluster's
-// Recovery.BSPCheckpointEvery is the initial value.
-func (g *Graph) SetCheckpointInterval(k int) { g.ckptEvery = k }
-
 // recoveredSec sums the recovery time charged for faults observed so far,
 // so superstep timings can exclude it.
 func recoveredSec(c *sim.Cluster) float64 {

@@ -83,43 +83,6 @@ func Count[T any](r *RDD[T]) (int, error) {
 	return total, err
 }
 
-// Reduce folds all elements with f. Each partition reduces locally; the
-// driver combines the per-partition results. The RDD must be non-empty.
-func Reduce[T any](r *RDD[T], f func(m *sim.Meter, a, b T) T) (T, error) {
-	var partials []T
-	err := r.runAction("reduce", func(p int, m *sim.Meter, data []T) error {
-		if len(data) == 0 {
-			return nil
-		}
-		r.chargeTuples(m, len(data))
-		acc := data[0]
-		for _, t := range data[1:] {
-			acc = f(m, acc, t)
-		}
-		shipBytes(m, false, 0, r.sizer(acc))
-		partials = append(partials, acc)
-		return nil
-	})
-	var zero T
-	if err != nil {
-		return zero, err
-	}
-	if len(partials) == 0 {
-		panic("dataflow: Reduce of empty RDD")
-	}
-	var res T
-	err = r.ctx.cluster.RunDriver("reduce-merge "+r.name, func(m *sim.Meter) error {
-		m.SetProfile(r.ctx.profile)
-		m.ChargeTuplesAbs(float64(len(partials)))
-		res = partials[0]
-		for _, t := range partials[1:] {
-			res = f(m, res, t)
-		}
-		return nil
-	})
-	return res, err
-}
-
 // Aggregate folds all elements into a zero-initialized accumulator with
 // seqOp per partition and merges the per-partition accumulators with
 // combOp on the driver. zero is called once per partition so accumulators
@@ -150,32 +113,8 @@ func Aggregate[T, U any](r *RDD[T], zero func() U, seqOp func(m *sim.Meter, acc 
 	return res, err
 }
 
-// Sum adds up a float64 RDD.
-func Sum(r *RDD[float64]) (float64, error) {
-	return Aggregate(r,
-		func() float64 { return 0 },
-		func(m *sim.Meter, acc, t float64) float64 { return acc + t },
-		func(m *sim.Meter, a, b float64) float64 { return a + b },
-	)
-}
-
 // CollectPairs gathers a pair RDD to the driver in deterministic
 // (partition, insertion) order.
 func CollectPairs[K comparable, V any](r *RDD[Pair[K, V]]) ([]Pair[K, V], error) {
 	return Collect(r)
-}
-
-// CollectAsMap gathers a pair RDD into a driver-local map, as the paper's
-// Spark codes do for the model (collectAsMap()). Later keys overwrite
-// earlier ones, matching Spark.
-func CollectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]V, error) {
-	pairs, err := Collect(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]V, len(pairs))
-	for _, p := range pairs {
-		out[p.K] = p.V
-	}
-	return out, nil
 }

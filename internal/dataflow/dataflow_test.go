@@ -3,6 +3,7 @@ package dataflow
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -19,16 +20,33 @@ func testCluster(machines int) *sim.Cluster {
 func intSizer(int) int64                 { return 8 }
 func pairSizer(Pair[int, float64]) int64 { return 16 }
 func pairIntSizer(Pair[int, int]) int64  { return 16 }
-func f64Sizer(float64) int64             { return 8 }
-func rangeRDD(ctx *Context, n, parts int) *RDD[int] {
+
+// sliceRDD splits vals into parts contiguous partitions.
+func sliceRDD(ctx *Context, vals []int, parts int) *RDD[int] {
 	return Generate(ctx, parts, intSizer, func(p int, r *randgen.RNG) []int {
-		lo, hi := sliceRange(n, parts, p)
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
+		return vals[p*len(vals)/parts : (p+1)*len(vals)/parts]
 	})
+}
+
+func rangeRDD(ctx *Context, n, parts int) *RDD[int] {
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = i
+	}
+	return sliceRDD(ctx, vals, parts)
+}
+
+// pairMap gathers a pair RDD with distinct keys into a map.
+func pairMap[K comparable, V any](r *RDD[Pair[K, V]]) (map[K]V, error) {
+	pairs, err := CollectPairs(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[K]V, len(pairs))
+	for _, p := range pairs {
+		out[p.K] = p.V
+	}
+	return out, nil
 }
 
 func TestGenerateAndCollect(t *testing.T) {
@@ -60,18 +78,16 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMap(t *testing.T) {
 	ctx := NewContext(testCluster(2), sim.ProfileCPP)
 	r := rangeRDD(ctx, 10, 3)
 	doubled := Map(r, intSizer, func(m *sim.Meter, x int) int { return 2 * x })
-	evens := Filter(doubled, func(x int) bool { return x%4 == 0 })
-	expanded := FlatMap(evens, intSizer, func(m *sim.Meter, x int) []int { return []int{x, x + 1} })
-	got, err := Collect(expanded)
+	got, err := Collect(doubled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Ints(got)
-	want := []int{0, 1, 4, 5, 8, 9, 12, 13, 16, 17}
+	want := []int{0, 2, 4, 6, 8, 10, 12, 14, 16, 18}
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -108,41 +124,6 @@ func TestMapPartitions(t *testing.T) {
 	}
 }
 
-func TestFromSliceUnscaled(t *testing.T) {
-	ctx := NewContext(testCluster(2), sim.ProfileCPP)
-	r := FromSlice(ctx, []int{5, 6, 7}, 2, intSizer)
-	if r.scaled {
-		t.Error("FromSlice should be model-cardinality (unscaled)")
-	}
-	got, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("Collect = %v", got)
-	}
-}
-
-func TestReduceAndSum(t *testing.T) {
-	ctx := NewContext(testCluster(3), sim.ProfileCPP)
-	r := rangeRDD(ctx, 101, 5)
-	total, err := Reduce(r, func(m *sim.Meter, a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 5050 {
-		t.Errorf("Reduce = %d, want 5050", total)
-	}
-	fl := Map(r, f64Sizer, func(m *sim.Meter, x int) float64 { return float64(x) })
-	s, err := Sum(fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 5050 {
-		t.Errorf("Sum = %v, want 5050", s)
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	ctx := NewContext(testCluster(2), sim.ProfileCPP)
 	r := rangeRDD(ctx, 10, 4)
@@ -171,7 +152,7 @@ func TestReduceByKeyMatchesReference(t *testing.T) {
 		return Pair[int, float64]{K: x % 7, V: float64(x)}
 	})
 	red := ReduceByKey(pairs, func(m *sim.Meter, a, b float64) float64 { return a + b })
-	got, err := CollectAsMap(red)
+	got, err := pairMap(red)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,36 +167,6 @@ func TestReduceByKeyMatchesReference(t *testing.T) {
 		if math.Abs(got[k]-v) > 1e-9 {
 			t.Errorf("key %d: got %v want %v", k, got[k], v)
 		}
-	}
-}
-
-func TestGroupByKey(t *testing.T) {
-	ctx := NewContext(testCluster(2), sim.ProfileCPP)
-	r := rangeRDD(ctx, 30, 4)
-	pairs := Map(r, pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
-		return Pair[int, int]{K: x % 3, V: x}
-	})
-	grouped, err := Collect(GroupByKey(pairs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grouped) != 3 {
-		t.Fatalf("groups = %d, want 3", len(grouped))
-	}
-	total := 0
-	for _, g := range grouped {
-		if len(g.V) != 10 {
-			t.Errorf("group %d has %d values, want 10", g.K, len(g.V))
-		}
-		for _, v := range g.V {
-			if v%3 != g.K {
-				t.Errorf("value %d in wrong group %d", v, g.K)
-			}
-			total += v
-		}
-	}
-	if total != 435 {
-		t.Errorf("grouped values total %d, want 435", total)
 	}
 }
 
@@ -242,23 +193,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestMapValues(t *testing.T) {
-	ctx := NewContext(testCluster(1), sim.ProfileCPP)
-	pairs := Map(rangeRDD(ctx, 4, 2), pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
-		return Pair[int, int]{K: x, V: x}
-	})
-	sq := MapValues(pairs, pairIntSizer, func(m *sim.Meter, k, v int) int { return v * v })
-	got, err := CollectAsMap(sq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range got {
-		if v != k*k {
-			t.Errorf("MapValues[%d] = %d", k, v)
-		}
-	}
-}
-
 func TestCacheAvoidsRecomputation(t *testing.T) {
 	ctx := NewContext(testCluster(1), sim.ProfileCPP)
 	computes := 0
@@ -277,12 +211,12 @@ func TestCacheAvoidsRecomputation(t *testing.T) {
 	if computes != first {
 		t.Errorf("cached RDD recomputed source: %d -> %d", first, computes)
 	}
-	if ctx.Cluster().TotalMemUsed() == 0 {
+	if ctx.cluster.TotalMemUsed() == 0 {
 		t.Error("cache charged no simulated memory")
 	}
 	cached.Unpersist()
-	if ctx.Cluster().TotalMemUsed() != 0 {
-		t.Errorf("Unpersist left %d bytes", ctx.Cluster().TotalMemUsed())
+	if ctx.cluster.TotalMemUsed() != 0 {
+		t.Errorf("Unpersist left %d bytes", ctx.cluster.TotalMemUsed())
 	}
 }
 
@@ -327,17 +261,17 @@ func TestDiskPersistChargesIOCost(t *testing.T) {
 	if _, err := Count(r); err != nil { // materializes: writes 8000 bytes
 		t.Fatal(err)
 	}
-	afterWrite := ctx.Cluster().Now()
+	afterWrite := ctx.cluster.Now()
 	if afterWrite < 8 { // 8000 bytes / 1000 Bps
 		t.Errorf("disk write charged %v s, want >= 8", afterWrite)
 	}
-	if used := ctx.Cluster().TotalMemUsed(); used != 0 {
+	if used := ctx.cluster.TotalMemUsed(); used != 0 {
 		t.Errorf("disk persist should not hold memory, got %d", used)
 	}
 	if _, err := Count(r); err != nil { // re-read pays again
 		t.Fatal(err)
 	}
-	if reread := ctx.Cluster().Now() - afterWrite; reread < 8 {
+	if reread := ctx.cluster.Now() - afterWrite; reread < 8 {
 		t.Errorf("disk re-read charged %v s, want >= 8", reread)
 	}
 }
@@ -383,22 +317,6 @@ func TestBroadcastChargesEveryMachine(t *testing.T) {
 	}
 }
 
-func TestHoldDriver(t *testing.T) {
-	cfg := sim.DefaultConfig(1)
-	cfg.MemBytes = 500
-	ctx := NewContext(sim.New(cfg), sim.ProfilePython)
-	if err := ctx.HoldDriver(400, "model"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.HoldDriver(400, "model2"); !sim.IsOOM(err) {
-		t.Fatalf("expected driver OOM, got %v", err)
-	}
-	ctx.ReleaseDriver(400)
-	if ctx.DriverHeld() != 0 {
-		t.Errorf("DriverHeld = %d", ctx.DriverHeld())
-	}
-}
-
 func TestActionsAdvanceClock(t *testing.T) {
 	c := testCluster(2)
 	ctx := NewContext(c, sim.ProfilePython)
@@ -413,9 +331,10 @@ func TestActionsAdvanceClock(t *testing.T) {
 
 func TestShuffleReusedAcrossActions(t *testing.T) {
 	ctx := NewContext(testCluster(2), sim.ProfileCPP)
-	sourceComputes := 0
+	// The two partitions generate on two machines concurrently.
+	var sourceComputes atomic.Int64
 	r := Generate(ctx, 2, intSizer, func(p int, rng *randgen.RNG) []int {
-		sourceComputes++
+		sourceComputes.Add(1)
 		return []int{p, p + 2}
 	})
 	pairs := Map(r, pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
@@ -425,12 +344,12 @@ func TestShuffleReusedAcrossActions(t *testing.T) {
 	if _, err := Count(red); err != nil {
 		t.Fatal(err)
 	}
-	after := sourceComputes
+	after := sourceComputes.Load()
 	if _, err := Count(red); err != nil { // shuffle files persist, like Spark
 		t.Fatal(err)
 	}
-	if sourceComputes != after {
-		t.Errorf("second action re-ran the shuffle: %d -> %d", after, sourceComputes)
+	if got := sourceComputes.Load(); got != after {
+		t.Errorf("second action re-ran the shuffle: %d -> %d", after, got)
 	}
 }
 
@@ -446,11 +365,11 @@ func TestQuickReduceByKeyReference(t *testing.T) {
 		for i, d := range data {
 			vals[i] = int(d)
 		}
-		r := FromSlice(ctx, vals, 3, intSizer)
+		r := sliceRDD(ctx, vals, 3)
 		pairs := Map(r, pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
 			return Pair[int, int]{K: x % int(keyMod), V: x}
 		})
-		got, err := CollectAsMap(ReduceByKey(pairs, func(m *sim.Meter, a, b int) int { return a + b }))
+		got, err := pairMap(ReduceByKey(pairs, func(m *sim.Meter, a, b int) int { return a + b }))
 		if err != nil {
 			return false
 		}
@@ -473,13 +392,21 @@ func TestQuickReduceByKeyReference(t *testing.T) {
 	}
 }
 
-// Property: Count == len after any chain of Filter/Map.
+// Property: Count == len after a transformation that drops elements.
 func TestQuickCountInvariant(t *testing.T) {
 	f := func(n uint8, parts uint8) bool {
 		p := int(parts%8) + 1
 		ctx := NewContext(testCluster(2), sim.ProfileCPP)
 		r := rangeRDD(ctx, int(n), p)
-		evens := Filter(r, func(x int) bool { return x%2 == 0 })
+		evens := MapPartitions(r, intSizer, func(m *sim.Meter, part []int) []int {
+			var out []int
+			for _, x := range part {
+				if x%2 == 0 {
+					out = append(out, x)
+				}
+			}
+			return out
+		})
 		c, err := Count(evens)
 		if err != nil {
 			return false
@@ -488,5 +415,67 @@ func TestQuickCountInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Collect holds the whole simulated result on the driver for a moment:
+// a data-proportional collect larger than the driver's memory fails with
+// OOM (the paper's 100-machine Spark LDA failures), and a successful one
+// leaves nothing allocated.
+func TestCollectDriverOOM(t *testing.T) {
+	cfg := sim.DefaultConfig(2)
+	cfg.Scale = 1000
+	cfg.MemBytes = 100_000
+	c := sim.New(cfg)
+	ctx := NewContext(c, sim.ProfileCPP)
+	if _, err := Collect(rangeRDD(ctx, 20, 2)); err == nil || !sim.IsOOM(err) {
+		t.Fatalf("160 KB collect on a 100 KB driver: err = %v, want OOM", err)
+	}
+	small := NewContext(testCluster(2), sim.ProfileCPP)
+	if _, err := Collect(rangeRDD(small, 20, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if used := small.cluster.TotalMemUsed(); used != 0 {
+		t.Errorf("collect left %d bytes on the driver", used)
+	}
+}
+
+func TestCacheIsMemoryPersist(t *testing.T) {
+	a := NewContext(testCluster(2), sim.ProfileCPP)
+	b := NewContext(testCluster(2), sim.ProfileCPP)
+	if _, err := Count(rangeRDD(a, 100, 4).Cache()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Count(rangeRDD(b, 100, 4).Persist(StorageMemory)); err != nil {
+		t.Fatal(err)
+	}
+	if a.cluster.TotalMemUsed() != b.cluster.TotalMemUsed() || a.cluster.Now() != b.cluster.Now() {
+		t.Errorf("Cache (%d B, %v s) differs from Persist(StorageMemory) (%d B, %v s)",
+			a.cluster.TotalMemUsed(), a.cluster.Now(), b.cluster.TotalMemUsed(), b.cluster.Now())
+	}
+}
+
+// Join is an inner join: keys present on one side only produce no rows.
+func TestJoinDropsUnmatchedKeys(t *testing.T) {
+	ctx := NewContext(testCluster(2), sim.ProfileCPP)
+	a := Map(rangeRDD(ctx, 4, 2), pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
+		return Pair[int, int]{K: x, V: x} // keys 0..3
+	})
+	b := Map(rangeRDD(ctx, 4, 2), pairIntSizer, func(m *sim.Meter, x int) Pair[int, int] {
+		return Pair[int, int]{K: x + 2, V: -x} // keys 2..5
+	})
+	joined, err := Collect(Join(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[int]bool{}
+	for _, row := range joined {
+		keys[row.K] = true
+		if row.V.A != row.K || row.V.B != 2-row.K {
+			t.Errorf("bad join row %+v", row)
+		}
+	}
+	if len(joined) != 2 || !keys[2] || !keys[3] {
+		t.Fatalf("joined = %+v, want keys 2 and 3 only", joined)
 	}
 }

@@ -23,9 +23,6 @@ import (
 type Context struct {
 	cluster *sim.Cluster
 	profile sim.Profile
-	// driverHeld tracks simulated bytes resident on the driver (machine 0)
-	// from collects and broadcast variables.
-	driverHeld int64
 	// recov lists materialized RDDs in materialization order, for
 	// lineage-based fault recovery (see recover.go).
 	recov []recoverable
@@ -44,32 +41,6 @@ func NewContext(c *sim.Cluster, profile sim.Profile) *Context {
 	c.SetEngineLabel("spark")
 	return ctx
 }
-
-// Cluster returns the underlying simulated cluster.
-func (ctx *Context) Cluster() *sim.Cluster { return ctx.cluster }
-
-// Profile returns the context's language profile.
-func (ctx *Context) Profile() sim.Profile { return ctx.profile }
-
-// HoldDriver charges a persistent driver-side allocation (a collected
-// model, a broadcast variable's master copy). It fails with OOM when the
-// driver machine's budget is exhausted.
-func (ctx *Context) HoldDriver(bytes int64, what string) error {
-	if err := ctx.cluster.Machine(0).Alloc(bytes, "driver: "+what); err != nil {
-		return err
-	}
-	ctx.driverHeld += bytes
-	return nil
-}
-
-// ReleaseDriver frees a previous HoldDriver allocation.
-func (ctx *Context) ReleaseDriver(bytes int64) {
-	ctx.cluster.Machine(0).Free(bytes)
-	ctx.driverHeld -= bytes
-}
-
-// DriverHeld returns the driver-resident simulated bytes.
-func (ctx *Context) DriverHeld() int64 { return ctx.driverHeld }
 
 // Broadcast ships a read-only value of the given simulated size to every
 // machine (task closures in Spark serialize captured state to each
@@ -143,11 +114,10 @@ type RDD[T any] struct {
 	isSource  bool
 	sourceGen func(p int, r *randgen.RNG, m *sim.Meter) []T
 
-	// Fault-recovery state (see recover.go): ckpt marks a replicated
-	// checkpoint that survives crashes; buildSec is what materialization
-	// cost (the recovery basis for shuffle outputs); registered guards
-	// one-time entry into the context's recovery registry.
-	ckpt       bool
+	// Fault-recovery state (see recover.go): buildSec is what
+	// materialization cost (the recovery basis for shuffle outputs);
+	// registered guards one-time entry into the context's recovery
+	// registry.
 	buildSec   float64
 	registered bool
 }
@@ -155,17 +125,6 @@ type RDD[T any] struct {
 // rddBase is the type-erased view used for lineage walks.
 type rddBase interface {
 	ensureUpstream() error
-	base() *rddMeta
-}
-
-type rddMeta struct {
-	parents []rddBase
-	wide    func() error
-	haveMat *bool
-}
-
-func (r *RDD[T]) base() *rddMeta {
-	return &rddMeta{parents: r.parents, wide: r.wide, haveMat: &r.haveMat}
 }
 
 // ensureUpstream materializes, in dependency order, every unmaterialized
@@ -191,9 +150,6 @@ func (r *RDD[T]) ensureUpstream() error {
 
 // machineFor maps partition index to machine.
 func (ctx *Context) machineFor(p int) int { return p % ctx.cluster.NumMachines() }
-
-// NumPartitions returns the RDD's partition count.
-func (r *RDD[T]) NumPartitions() int { return r.parts }
 
 // SetName gives the RDD a debugging name used in phase traces.
 func (r *RDD[T]) SetName(n string) *RDD[T] { r.name = n; return r }
@@ -299,12 +255,6 @@ func (r *RDD[T]) materializeAll() error {
 			}
 		case StorageDisk:
 			m.ChargeSec(float64(b) / c.Config().Cost.DiskBytesPerSec)
-			if r.ckpt {
-				// Checkpoints replicate: one more local write plus a copy
-				// shipped to a peer, as HDFS-backed checkpoint files do.
-				m.ChargeSec(float64(b) / c.Config().Cost.DiskBytesPerSec)
-				m.SendModel((r.ctx.machineFor(p)+1)%c.NumMachines(), float64(b))
-			}
 		}
 		return nil
 	}))
@@ -351,38 +301,6 @@ func Generate[T any](ctx *Context, parts int, sizer func(T) int64, gen func(p in
 	return r
 }
 
-// FromSlice creates an unscaled RDD from driver-local data (Spark's
-// parallelize): model-sized collections like range(0, K).
-func FromSlice[T any](ctx *Context, data []T, parts int, sizer func(T) int64) *RDD[T] {
-	if parts <= 0 {
-		parts = 1
-	}
-	if parts > len(data) && len(data) > 0 {
-		parts = len(data)
-	}
-	r := &RDD[T]{ctx: ctx, parts: parts, scaled: false, sizer: sizer, name: "parallelize"}
-	r.compute = func(p int, m *sim.Meter) ([]T, error) {
-		lo, hi := sliceRange(len(data), r.parts, p)
-		out := data[lo:hi]
-		r.chargeTuples(m, len(out))
-		return out, nil
-	}
-	return r
-}
-
-func sliceRange(n, parts, p int) (int, int) {
-	per := (n + parts - 1) / parts
-	lo := p * per
-	hi := lo + per
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
 // Map applies f to every element. f receives the task meter so user code
 // can charge its own linear-algebra costs.
 func Map[T, U any](r *RDD[T], sizer func(U) int64, f func(m *sim.Meter, t T) U) *RDD[U] {
@@ -396,44 +314,6 @@ func Map[T, U any](r *RDD[T], sizer func(U) int64, f func(m *sim.Meter, t T) U) 
 		res := make([]U, len(in))
 		for i, t := range in {
 			res[i] = f(m, t)
-		}
-		return res, nil
-	}
-	return out
-}
-
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], sizer func(U) int64, f func(m *sim.Meter, t T) []U) *RDD[U] {
-	out := &RDD[U]{ctx: r.ctx, parts: r.parts, scaled: r.scaled, sizer: sizer, name: r.name + ".flatMap", parents: []rddBase{r}}
-	out.compute = func(p int, m *sim.Meter) ([]U, error) {
-		in, err := r.partition(p, m)
-		if err != nil {
-			return nil, err
-		}
-		var res []U
-		for _, t := range in {
-			res = append(res, f(m, t)...)
-		}
-		out.chargeTuples(m, len(in)+len(res))
-		return res, nil
-	}
-	return out
-}
-
-// Filter keeps the elements for which pred is true.
-func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	out := &RDD[T]{ctx: r.ctx, parts: r.parts, scaled: r.scaled, sizer: r.sizer, name: r.name + ".filter", parents: []rddBase{r}}
-	out.compute = func(p int, m *sim.Meter) ([]T, error) {
-		in, err := r.partition(p, m)
-		if err != nil {
-			return nil, err
-		}
-		out.chargeTuples(m, len(in))
-		var res []T
-		for _, t := range in {
-			if pred(t) {
-				res = append(res, t)
-			}
 		}
 		return res, nil
 	}
@@ -458,14 +338,6 @@ func MapPartitions[T, U any](r *RDD[T], sizer func(U) int64, f func(m *sim.Meter
 type Pair[K comparable, V any] struct {
 	K K
 	V V
-}
-
-// MapValues transforms the values of a pair RDD, preserving keys and
-// partitioning.
-func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], sizer func(Pair[K, W]) int64, f func(m *sim.Meter, k K, v V) W) *RDD[Pair[K, W]] {
-	return Map(r, sizer, func(m *sim.Meter, p Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{K: p.K, V: f(m, p.K, p.V)}
-	})
 }
 
 // hashKey deterministically hashes a comparable key.

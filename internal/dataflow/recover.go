@@ -8,14 +8,12 @@ import (
 // rebuilt from lineage. The context registers every RDD as it materializes
 // (registration order == materialization order, so parents always recover
 // before children) and installs a cluster fault handler that walks the
-// registry when a crash is observed. Three cases per RDD:
+// registry when a crash is observed. Two cases per RDD:
 //
-//   - checkpointed: the partitions survive in replicated storage; the
-//     replacement executor re-reads them (network + disk), no recompute.
 //   - lineage-backed (cached or disk-persisted): the lost partitions
 //     re-execute their compute function for real, which recurses through
 //     every unmaterialized ancestor — recovery cost grows with lineage
-//     depth since the last cache/checkpoint, exactly Spark's trade-off.
+//     depth since the last cache, exactly Spark's trade-off.
 //   - shuffle output: the lost reduce tasks re-run at the recorded shuffle
 //     cost, scaled by the lost partition fraction.
 
@@ -43,16 +41,6 @@ func (ctx *Context) handleFault(f sim.FaultInfo) error {
 		}
 	}
 	return nil
-}
-
-// Checkpoint persists the RDD to replicated storage, Spark's
-// RDD.checkpoint(): materialization pays a replicated disk write, and the
-// RDD's lineage is truncated for recovery — a crash re-reads the surviving
-// replica instead of recomputing ancestors.
-func (r *RDD[T]) Checkpoint() *RDD[T] {
-	r.storage = StorageDisk
-	r.ckpt = true
-	return r
 }
 
 // noteMaterialized records how long materialization took (the recovery
@@ -86,12 +74,6 @@ func (r *RDD[T]) recoverLost(machine int) error {
 	c := r.ctx.cluster
 	cost := c.Config().Cost
 	switch {
-	case r.ckpt:
-		return c.RunPhase("recover-read "+r.name, r.lostTasks(lost, func(p int, m *sim.Meter) error {
-			b := float64(r.matBytes[p])
-			m.ChargeSec(b/cost.DiskBytesPerSec + b/c.Config().Net.BytesPerSec)
-			return nil
-		}))
 	case r.compute != nil:
 		return c.RunPhase("recover-compute "+r.name, r.lostTasks(lost, func(p int, m *sim.Meter) error {
 			data, err := r.compute(p, m)

@@ -18,18 +18,14 @@ func faultCluster(machines int, sched *faults.Schedule) *sim.Cluster {
 }
 
 // chain builds a cached RDD at the end of `depth` map stages over n
-// records, optionally checkpointing the RDD after ckptAfter stages
-// (ckptAfter < 0 means no checkpoint).
-func chain(ctx *Context, n, parts, depth, ckptAfter int) *RDD[int] {
+// records.
+func chain(ctx *Context, n, parts, depth int) *RDD[int] {
 	r := rangeRDD(ctx, n, parts)
 	for i := 0; i < depth; i++ {
 		r = Map(r, intSizer, func(m *sim.Meter, x int) int {
 			m.ChargeLinalg(5, 100, 10) // make each stage's work non-trivial
 			return x + 1
 		})
-		if i+1 == ckptAfter {
-			r.Checkpoint()
-		}
 	}
 	return r.Cache()
 }
@@ -37,19 +33,19 @@ func chain(ctx *Context, n, parts, depth, ckptAfter int) *RDD[int] {
 // crashedRecoverySec runs count actions over a cached chain of the given
 // depth with one crash injected after materialization, and returns the
 // recovery time charged for the crash.
-func crashedRecoverySec(t *testing.T, depth, ckptAfter int) float64 {
+func crashedRecoverySec(t *testing.T, depth int) float64 {
 	t.Helper()
 	// Probe: find when the cached chain is materialized so the crash can be
 	// scheduled after it.
 	probe := NewContext(testCluster(4), sim.ProfilePython)
-	if _, err := Count(chain(probe, 400, 8, depth, ckptAfter)); err != nil {
+	if _, err := Count(chain(probe, 400, 8, depth)); err != nil {
 		t.Fatal(err)
 	}
-	at := probe.Cluster().Now() * 1.5 // inside the post-materialization action
+	at := probe.cluster.Now() * 1.5 // inside the post-materialization action
 
 	c := faultCluster(4, faults.NewSchedule(faults.CrashAt(2, at)))
 	ctx := NewContext(c, sim.ProfilePython)
-	cached := chain(ctx, 400, 8, depth, ckptAfter)
+	cached := chain(ctx, 400, 8, depth)
 	if _, err := Count(cached); err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +62,10 @@ func crashedRecoverySec(t *testing.T, depth, ckptAfter int) float64 {
 }
 
 func TestRecoveryCostGrowsWithLineageDepth(t *testing.T) {
-	shallow := crashedRecoverySec(t, 2, -1)
-	deep := crashedRecoverySec(t, 8, -1)
+	shallow := crashedRecoverySec(t, 2)
+	deep := crashedRecoverySec(t, 8)
 	if deep <= shallow {
 		t.Errorf("recovery did not grow with lineage depth: depth 2 = %v, depth 8 = %v", shallow, deep)
-	}
-}
-
-func TestCheckpointTruncatesLineage(t *testing.T) {
-	plain := crashedRecoverySec(t, 8, -1)
-	ckpt := crashedRecoverySec(t, 8, 6)
-	if ckpt >= plain {
-		t.Errorf("checkpoint did not cut recovery cost: plain = %v, checkpointed = %v", plain, ckpt)
 	}
 }
 
@@ -120,7 +108,7 @@ func TestShuffleOutputRecoversAtRecordedCost(t *testing.T) {
 func TestRecoveryKeepsResultsCorrect(t *testing.T) {
 	c := faultCluster(3, faults.NewSchedule(faults.CrashAt(1, 0.5), faults.CrashAt(2, 2)))
 	ctx := NewContext(c, sim.ProfilePython)
-	r := chain(ctx, 120, 6, 3, -1)
+	r := chain(ctx, 120, 6, 3)
 	for i := 0; i < 4; i++ {
 		n, err := Count(r)
 		if err != nil {
@@ -132,5 +120,38 @@ func TestRecoveryKeepsResultsCorrect(t *testing.T) {
 	}
 	if len(c.Faults()) != 2 {
 		t.Errorf("observed %d faults, want 2", len(c.Faults()))
+	}
+}
+
+// A disk-persisted RDD recovers by recomputing its lost partitions and
+// writing them to disk again, so its recovery costs more than the same
+// RDD cached in memory.
+func TestDiskPersistedRecoveryRewritesPartitions(t *testing.T) {
+	recovery := func(level StorageLevel) float64 {
+		build := func(ctx *Context) *RDD[int] {
+			return Map(rangeRDD(ctx, 400, 8), intSizer, func(m *sim.Meter, x int) int {
+				m.ChargeLinalg(5, 100, 10)
+				return x + 1
+			}).Persist(level)
+		}
+		probe := NewContext(testCluster(4), sim.ProfilePython)
+		if _, err := Count(build(probe)); err != nil {
+			t.Fatal(err)
+		}
+		at := probe.cluster.Now() * 1.5
+		c := faultCluster(4, faults.NewSchedule(faults.CrashAt(2, at)))
+		r := build(NewContext(c, sim.ProfilePython))
+		for len(c.Faults()) == 0 {
+			if _, err := Count(r); err != nil {
+				t.Fatal(err)
+			}
+			if c.Now() > 100*at {
+				t.Fatalf("crash at %v never observed (clock %v)", at, c.Now())
+			}
+		}
+		return c.Faults()[0].RecoverySec
+	}
+	if disk, mem := recovery(StorageDisk), recovery(StorageMemory); disk <= mem {
+		t.Errorf("disk-persisted recovery %v s should exceed in-memory %v s (rewrite)", disk, mem)
 	}
 }

@@ -29,36 +29,6 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(m *sim.Meter, a
 	return out
 }
 
-// GroupByKey hash-shuffles the pair RDD and gathers all values per key.
-// Unlike ReduceByKey there is no map-side reduction, so the full value
-// lists travel and sit in reducer memory — the expensive Spark pattern.
-func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
-	elems := func(k K, vs []V) int64 {
-		var b int64 = 16
-		for _, v := range vs {
-			b += r.sizer(Pair[K, V]{K: k, V: v})
-		}
-		return b
-	}
-	sizer := func(p Pair[K, []V]) int64 { return elems(p.K, p.V) }
-	out := &RDD[Pair[K, []V]]{
-		ctx: r.ctx, parts: r.parts, scaled: r.scaled, sizer: sizer,
-		name: r.name + ".groupByKey", parents: []rddBase{r},
-	}
-	out.wide = func() error {
-		return runShuffle(r, out,
-			func(m *sim.Meter, dst *ordmap.Map[K, []V], kv Pair[K, V]) {
-				old, _ := dst.Get(kv.K)
-				dst.Set(kv.K, append(old, kv.V))
-			},
-			func(m *sim.Meter, a, b []V) []V { return append(a, b...) },
-			elems,
-			pairsOf[K, []V],
-		)
-	}
-	return out
-}
-
 // pairsOf returns the map's entries in insertion order.
 func pairsOf[K comparable, V any](o *ordmap.Map[K, V]) []Pair[K, V] {
 	out := make([]Pair[K, V], 0, o.Len())
@@ -73,9 +43,10 @@ type Two[V, W any] struct {
 }
 
 // Join inner-joins two pair RDDs on their keys, producing every (v, w)
-// combination per key. Implemented as GroupByKey-style shuffles of both
-// sides with reducer-side buffering of both value lists — the pattern
-// whose memory footprint defeated the paper's word-based HMM on Spark.
+// combination per key. Implemented as hash shuffles of both sides with
+// no map-side reduction and reducer-side buffering of both value lists —
+// the pattern whose memory footprint defeated the paper's word-based HMM
+// on Spark.
 func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[Pair[K, Two[V, W]]] {
 	sizer := func(p Pair[K, Two[V, W]]) int64 {
 		return a.sizer(Pair[K, V]{K: p.K, V: p.V.A}) + b.sizer(Pair[K, W]{K: p.K, V: p.V.B})

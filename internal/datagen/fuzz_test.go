@@ -1,0 +1,36 @@
+package datagen
+
+import "testing"
+
+// FuzzParseSpec drives arbitrary bytes through DatasetSpec intake —
+// ParseSpec, Normalize, Validate. Bad input must come back as an error,
+// never as a panic. Explore with
+// `go test -run '^$' -fuzz '^FuzzParseSpec$' ./internal/datagen`.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"name": "d", "corpus": {}}`,
+		`{"name": "smoke", "seed": 42, "shards": 16,
+		  "corpus": {"docs": 400, "vocab": 2000, "topics": 8, "zipf_s": 1.4, "topic_skew": 1.2, "background": 0.15,
+		             "doc_len": {"dist": "lognormal", "mean": 120, "sigma": 0.8}},
+		  "gmm": {"points": 500, "dim": 8, "clusters": 5, "separation": 6, "cov_condition": 8, "imbalance": 1.2},
+		  "regression": {"points": 300, "dim": 40, "sparsity": 5, "noise": 0.5, "correlation": 0.6},
+		  "graph": {"vertices": 1000, "avg_degree": 6, "exponent": 2.2, "min_degree": 2},
+		  "partition": {"machines": 4, "imbalance": 2}}`,
+		`{"name": "d", "corpus": {"docs": -1, "zipf_s": -3, "doc_len": {"dist": "cauchy"}}}`,
+		`{"name": "d", "gmm": {"clusters": 0, "dim": 100000000}}`,
+		`{"name": "", "shards": -4}`,
+		`{"name": "x", "vocabulary": 5}`,
+		`{"name": "x"} {"name": "y"}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		_ = s.Normalize().Validate()
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mlbench/internal/linalg"
 	"mlbench/internal/randgen"
 )
 
@@ -158,8 +159,15 @@ func TestMachineShare(t *testing.T) {
 // every machine derives the same planted mixture from the shared root.
 func TestMachineGMMSharedMixture(t *testing.T) {
 	spec := ScenarioSpec("skew-heavy")
-	p0 := MachineGMM(spec, randgen.New(99), 0, 50, 10, 10)
-	p1 := MachineGMM(spec, randgen.New(99), 1, 50, 10, 10)
+	draw := func(machine int) []linalg.Vec {
+		next := OpenMachineGMM(spec, randgen.New(99), machine, 10, 10)
+		out := make([]linalg.Vec, 50)
+		for i := range out {
+			out[i] = next()
+		}
+		return out
+	}
+	p0, p1 := draw(0), draw(1)
 	if len(p0) != 50 || len(p1) != 50 {
 		t.Fatalf("points: %d, %d", len(p0), len(p1))
 	}
@@ -167,7 +175,7 @@ func TestMachineGMMSharedMixture(t *testing.T) {
 		t.Error("machines 0 and 1 generated identical points (streams not split)")
 	}
 	// Same machine, fresh root: byte-identical.
-	again := MachineGMM(spec, randgen.New(99), 0, 50, 10, 10)
+	again := draw(0)
 	if !reflect.DeepEqual(p0, again) {
 		t.Error("machine generation not reproducible")
 	}

@@ -48,23 +48,11 @@ func OpenMachineCorpus(spec *DatasetSpec, rng *randgen.RNG, vocab, avgLen, topic
 	})
 }
 
-// MachineGMM generates one machine's points from the shared planted
-// mixture: like the historical path, the mixture is drawn from the shared
-// root RNG so every machine samples the same planted structure, and the
-// machine's stream is Split off the root. The caller guarantees spec.GMM
-// is non-nil.
-func MachineGMM(spec *DatasetSpec, root *randgen.RNG, machine, n, k, d int) []linalg.Vec {
-	next := OpenMachineGMM(spec, root, machine, k, d)
-	out := make([]linalg.Vec, n)
-	for i := range out {
-		out[i] = next()
-	}
-	return out
-}
-
-// OpenMachineGMM is the streaming form of MachineGMM: building the
-// generator draws the shared planted mixture from the root RNG exactly
-// as MachineGMM does, then streams the machine's split substream.
+// OpenMachineGMM streams one machine's points from the shared planted
+// mixture: like the historical path, building the generator draws the
+// mixture from the shared root RNG so every machine samples the same
+// planted structure, then streams the machine's substream, Split off the
+// root. The caller guarantees spec.GMM is non-nil.
 func OpenMachineGMM(spec *DatasetSpec, root *randgen.RNG, machine, k, d int) func() linalg.Vec {
 	g := spec.GMM
 	mix := workload.NewPlantedMixture(root, workload.SkewedGMMConfig{

@@ -171,3 +171,19 @@ func TestScenarios(t *testing.T) {
 		}
 	}
 }
+
+// A name that strconv would read as a float (nan, Inf) is a string in a
+// spec file, not a JSON marshal error without a line number.
+func TestLoadSpecNonFiniteLookingName(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.yaml")
+	if err := os.WriteFile(path, []byte("name: nan\ncorpus:\n  docs: 10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "nan" {
+		t.Fatalf("Name = %q, want nan", s.Name)
+	}
+}

@@ -110,9 +110,6 @@ func NewSchedule(events ...Event) *Schedule {
 	return s
 }
 
-// Empty reports whether the schedule has no events.
-func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
-
 // Crashes returns the crash events in order.
 func (s *Schedule) Crashes() []Event {
 	if s == nil {

@@ -22,19 +22,6 @@ func TestNewScheduleOrdersEvents(t *testing.T) {
 	}
 }
 
-func TestEmpty(t *testing.T) {
-	var nilSched *Schedule
-	if !nilSched.Empty() {
-		t.Error("nil schedule should be empty")
-	}
-	if !NewSchedule().Empty() {
-		t.Error("zero-event schedule should be empty")
-	}
-	if NewSchedule(CrashAt(0, 1)).Empty() {
-		t.Error("one-event schedule should not be empty")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"negative machine": func() { NewSchedule(CrashAt(-1, 0)) },
@@ -99,7 +86,16 @@ func TestSpreadCrashesWindowAndVictims(t *testing.T) {
 		t.Errorf("single-machine victim = %d", s1.Events[0].Machine)
 	}
 	// Degenerate windows produce empty schedules.
-	if !SpreadCrashes(0, 5, 0, 10, 1).Empty() || !SpreadCrashes(2, 5, 10, 10, 1).Empty() {
+	if len(SpreadCrashes(0, 5, 0, 10, 1).Events) != 0 || len(SpreadCrashes(2, 5, 10, 10, 1).Events) != 0 {
 		t.Error("degenerate SpreadCrashes should be empty")
+	}
+}
+
+// A nil schedule is how a run without fault injection is configured: it
+// must read as empty rather than panic.
+func TestNilScheduleHasNoEvents(t *testing.T) {
+	var s *Schedule
+	if s.Crashes() != nil || s.Stragglers() != nil {
+		t.Fatalf("nil schedule: crashes %v, stragglers %v", s.Crashes(), s.Stragglers())
 	}
 }

@@ -44,95 +44,13 @@ type Vertex struct {
 // Machine returns the machine hosting the vertex.
 func (v *Vertex) Machine() int { return v.machine }
 
-// EdgeSet enumerates neighborhoods. Implementations may be implicit
-// (complete bipartite, star) to avoid storing enormous edge lists, exactly
-// as the paper's Giraph code avoided recording edges explicitly.
+// EdgeSet enumerates neighborhoods. The tasks implement it implicitly
+// (a super vertex sees its model vertices by rule) to avoid storing
+// enormous edge lists, exactly as the paper's Giraph code avoided
+// recording edges explicitly.
 type EdgeSet interface {
 	// Neighbors returns the neighbor ids of v in deterministic order.
 	Neighbors(v VertexID) []VertexID
-}
-
-// ExplicitEdges is an adjacency-list edge set; its storage is charged
-// against machine memory at Load.
-type ExplicitEdges struct {
-	adj *ordmap.Map[VertexID, []VertexID]
-}
-
-// NewExplicitEdges returns an empty adjacency list.
-func NewExplicitEdges() *ExplicitEdges {
-	return &ExplicitEdges{adj: ordmap.New[VertexID, []VertexID]()}
-}
-
-// Add inserts an undirected edge.
-func (e *ExplicitEdges) Add(a, b VertexID) {
-	av, _ := e.adj.Get(a)
-	e.adj.Set(a, append(av, b))
-	bv, _ := e.adj.Get(b)
-	e.adj.Set(b, append(bv, a))
-}
-
-// Neighbors implements EdgeSet.
-func (e *ExplicitEdges) Neighbors(v VertexID) []VertexID {
-	n, _ := e.adj.Get(v)
-	return n
-}
-
-// NumEdges returns the number of directed adjacency entries.
-func (e *ExplicitEdges) NumEdges() int {
-	total := 0
-	e.adj.Each(func(_ VertexID, ns []VertexID) { total += len(ns) })
-	return total
-}
-
-// Bipartite connects every Left vertex to every Right vertex implicitly.
-type Bipartite struct {
-	Left, Right []VertexID
-}
-
-// Neighbors implements EdgeSet.
-func (b *Bipartite) Neighbors(v VertexID) []VertexID {
-	for _, l := range b.Left {
-		if l == v {
-			return b.Right
-		}
-	}
-	for _, r := range b.Right {
-		if r == v {
-			return b.Left
-		}
-	}
-	return nil
-}
-
-// Star connects Center to every Leaf implicitly.
-type Star struct {
-	Center VertexID
-	Leaves []VertexID
-}
-
-// Neighbors implements EdgeSet.
-func (s *Star) Neighbors(v VertexID) []VertexID {
-	if v == s.Center {
-		return s.Leaves
-	}
-	for _, l := range s.Leaves {
-		if l == v {
-			return []VertexID{s.Center}
-		}
-	}
-	return nil
-}
-
-// Union overlays several edge sets.
-type Union []EdgeSet
-
-// Neighbors implements EdgeSet.
-func (u Union) Neighbors(v VertexID) []VertexID {
-	var out []VertexID
-	for _, e := range u {
-		out = append(out, e.Neighbors(v)...)
-	}
-	return out
 }
 
 // Program is a gather-apply-scatter vertex program. All hooks receive the
@@ -233,11 +151,8 @@ func (g *Graph) Vertex(id VertexID) *Vertex {
 	return v
 }
 
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.verts.Len() }
-
-// Load finalizes the graph: vertex state (and explicit edge storage) is
-// charged against machine memory, and loading time is charged per vertex.
+// Load finalizes the graph: vertex state is charged against machine
+// memory, and loading time is charged per vertex.
 func (g *Graph) Load() error {
 	if g.loaded {
 		return nil
@@ -259,16 +174,6 @@ func (g *Graph) Load() error {
 				if err := m.AllocModel(v.Bytes, "gas vertex"); err != nil {
 					return err
 				}
-			}
-		}
-		if ee, ok := g.edges.(*ExplicitEdges); ok {
-			// Adjacency entries for vertices on this machine.
-			var entries int64
-			for _, v := range g.byMach[machine] {
-				entries += int64(len(ee.Neighbors(v.ID)))
-			}
-			if err := m.AllocData(entries*16, "gas edges"); err != nil {
-				return err
 			}
 		}
 		return nil

@@ -27,6 +27,24 @@ func (p sumProg) Apply(m *sim.Meter, v *Vertex, acc any) {
 	}
 }
 
+// Star connects Center to every Leaf: the edge set of these tests.
+type Star struct {
+	Center VertexID
+	Leaves []VertexID
+}
+
+func (s *Star) Neighbors(v VertexID) []VertexID {
+	if v == s.Center {
+		return s.Leaves
+	}
+	for _, l := range s.Leaves {
+		if l == v {
+			return []VertexID{s.Center}
+		}
+	}
+	return nil
+}
+
 func buildStarGraph(c *sim.Cluster, leaves int) *Graph {
 	star := &Star{Center: 0}
 	for i := 1; i <= leaves; i++ {
@@ -75,45 +93,6 @@ func TestActiveSubsetOnly(t *testing.T) {
 	}
 	if got := g.Vertex(1).Data.(float64); got != 0 {
 		t.Errorf("leaf 1 = %v, want center's 0", got)
-	}
-}
-
-func TestBipartiteNeighbors(t *testing.T) {
-	b := &Bipartite{Left: []VertexID{1, 2}, Right: []VertexID{10, 11, 12}}
-	if n := b.Neighbors(1); len(n) != 3 || n[0] != 10 {
-		t.Errorf("left neighbors = %v", n)
-	}
-	if n := b.Neighbors(11); len(n) != 2 || n[1] != 2 {
-		t.Errorf("right neighbors = %v", n)
-	}
-	if n := b.Neighbors(99); n != nil {
-		t.Errorf("stranger neighbors = %v", n)
-	}
-}
-
-func TestExplicitEdges(t *testing.T) {
-	e := NewExplicitEdges()
-	e.Add(1, 2)
-	e.Add(1, 3)
-	if n := e.Neighbors(1); len(n) != 2 {
-		t.Errorf("neighbors(1) = %v", n)
-	}
-	if n := e.Neighbors(2); len(n) != 1 || n[0] != 1 {
-		t.Errorf("neighbors(2) = %v", n)
-	}
-	if e.NumEdges() != 4 {
-		t.Errorf("NumEdges = %d", e.NumEdges())
-	}
-}
-
-func TestUnionEdges(t *testing.T) {
-	u := Union{
-		&Star{Center: 0, Leaves: []VertexID{1, 2}},
-		&Bipartite{Left: []VertexID{1}, Right: []VertexID{5}},
-	}
-	n := u.Neighbors(1)
-	if len(n) != 2 || n[0] != 0 || n[1] != 5 {
-		t.Errorf("union neighbors = %v", n)
 	}
 }
 
@@ -318,5 +297,28 @@ func TestGatherSerializationCharged(t *testing.T) {
 	// serialization at 1000 B/s.
 	if got := c.Now() - before; got < 8 {
 		t.Errorf("gather serialization charged %v, want >= 8", got)
+	}
+}
+
+// Neighbourhoods come only from the edge set: a vertex the edge set does
+// not connect gathers nothing and keeps its state through a round.
+func TestGatherFollowsEdgeSet(t *testing.T) {
+	c := testCluster(2)
+	g := NewGraph(c, &Star{Center: 0, Leaves: []VertexID{1, 2}})
+	g.AddVertex(0, 0.0, 8, false, -1)
+	g.AddVertex(1, 1.0, 8, false, -1)
+	g.AddVertex(2, 2.0, 8, false, -1)
+	g.AddVertex(9, 9.0, 8, false, -1) // not in the star
+	if err := g.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RunRound(sumProg{viewBytes: 8}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Vertex(0).Data.(float64); got != 3 {
+		t.Errorf("center = %v, want 3 (leaves 1 + 2)", got)
+	}
+	if got := g.Vertex(9).Data.(float64); got != 9 {
+		t.Errorf("isolated vertex = %v, want its own 9", got)
 	}
 }

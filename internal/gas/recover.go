@@ -16,11 +16,6 @@ import (
 // survivors). With snapshots off — how the paper's GraphLab deployment
 // ran — a crash means restarting the job: reload plus full replay.
 
-// SetSnapshotInterval sets the number of engine rounds between
-// asynchronous snapshots (0 disables them). The cluster's
-// Recovery.GASSnapshotEvery is the initial value.
-func (g *Graph) SetSnapshotInterval(k int) { g.snapEvery = k }
-
 // recoveredSec sums the recovery time charged for faults observed so far,
 // so round timings can exclude it.
 func recoveredSec(c *sim.Cluster) float64 {
@@ -31,8 +26,7 @@ func recoveredSec(c *sim.Cluster) float64 {
 	return s
 }
 
-// machineStateBytes is the simulated resident graph state on one machine:
-// vertex state plus explicit adjacency storage.
+// machineStateBytes is the simulated resident vertex state on one machine.
 func (g *Graph) machineStateBytes(machine int) float64 {
 	var bytes float64
 	for _, v := range g.byMach[machine] {
@@ -41,13 +35,6 @@ func (g *Graph) machineStateBytes(machine int) float64 {
 			b *= g.c.Scale()
 		}
 		bytes += b
-	}
-	if ee, ok := g.edges.(*ExplicitEdges); ok {
-		var entries float64
-		for _, v := range g.byMach[machine] {
-			entries += float64(len(ee.Neighbors(v.ID)))
-		}
-		bytes += entries * 16 * g.c.Scale()
 	}
 	return bytes
 }

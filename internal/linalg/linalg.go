@@ -80,32 +80,8 @@ func (v Vec) Dot(w Vec) float64 {
 	return s
 }
 
-// Sum returns the sum of the entries of v.
-func (v Vec) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v.
 func (v Vec) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
-// MaxIdx returns the index of the largest entry of v (first on ties).
-// It panics on an empty vector.
-func (v Vec) MaxIdx() int {
-	if len(v) == 0 {
-		panic("linalg: MaxIdx of empty vector")
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
 
 // Zero sets every entry of v to 0.
 func (v Vec) Zero() {
@@ -237,21 +213,6 @@ func (m *Mat) MulMat(b *Mat) *Mat {
 			for c, x := range brow {
 				orow[c] += a * x
 			}
-		}
-	}
-	return out
-}
-
-// Outer returns v * w^T as a new len(v) x len(w) matrix.
-func Outer(v, w Vec) *Mat {
-	out := NewMat(len(v), len(w))
-	for r, a := range v {
-		if a == 0 {
-			continue
-		}
-		row := out.Data[r*len(w) : (r+1)*len(w)]
-		for c, b := range w {
-			row[c] = a * b
 		}
 	}
 	return out

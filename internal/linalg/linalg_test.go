@@ -24,14 +24,8 @@ func TestVecBasicOps(t *testing.T) {
 	if got := v.Scale(2); got[2] != 6 {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := v.Sum(); got != 6 {
-		t.Errorf("Sum = %v, want 6", got)
-	}
 	if got := v.Norm2(); !almostEq(got, math.Sqrt(14), 1e-12) {
 		t.Errorf("Norm2 = %v", got)
-	}
-	if got := w.MaxIdx(); got != 2 {
-		t.Errorf("MaxIdx = %v, want 2", got)
 	}
 }
 
@@ -59,18 +53,9 @@ func TestVecZeroAndScaleInPlace(t *testing.T) {
 		t.Errorf("ScaleInPlace = %v", v)
 	}
 	v.Zero()
-	if v.Sum() != 0 {
+	if v[0] != 0 || v[1] != 0 || v[2] != 0 {
 		t.Errorf("Zero left %v", v)
 	}
-}
-
-func TestVecMaxIdxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Vec{}.MaxIdx()
 }
 
 func TestMatAtSetEye(t *testing.T) {
@@ -125,10 +110,10 @@ func TestMatTranspose(t *testing.T) {
 	}
 }
 
-func TestOuterAndAddOuter(t *testing.T) {
-	m := Outer(Vec{1, 2}, Vec{3, 4})
+func TestAddOuter(t *testing.T) {
+	m := NewMat(2, 2).AddOuter(1, Vec{1, 2}, Vec{3, 4})
 	if m.At(1, 1) != 8 || m.At(0, 0) != 3 {
-		t.Errorf("Outer = %v", m.Data)
+		t.Errorf("AddOuter on zero = %v", m.Data)
 	}
 	m.AddOuter(2, Vec{1, 0}, Vec{1, 1})
 	if m.At(0, 0) != 5 || m.At(0, 1) != 6 {
@@ -272,60 +257,6 @@ func TestCholLogDet(t *testing.T) {
 	}
 }
 
-func TestLUSolveAndDet(t *testing.T) {
-	a := &Mat{Rows: 3, Cols: 3, Data: []float64{
-		0, 2, 1, // zero pivot forces a row swap
-		1, 1, 1,
-		2, 0, 3,
-	}}
-	f, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vec{1, 2, 3}
-	got := f.Solve(a.MulVec(want))
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-10) {
-			t.Fatalf("Solve[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// det by cofactor expansion: 0*(3-0) - 2*(3-2) + 1*(0-2) = -4
-	if d := f.Det(); !almostEq(d, -4, 1e-10) {
-		t.Errorf("Det = %v, want -4", d)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := &Mat{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 4}}
-	if _, err := NewLU(a); err != ErrSingular {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	if _, err := Inverse(a); err != ErrSingular {
-		t.Errorf("Inverse err = %v, want ErrSingular", err)
-	}
-	if _, err := Solve(a, Vec{1, 1}); err != ErrSingular {
-		t.Errorf("Solve err = %v, want ErrSingular", err)
-	}
-	if _, err := NewLU(NewMat(2, 3)); err == nil {
-		t.Errorf("expected error for non-square input")
-	}
-}
-
-func TestGeneralInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	a := NewMat(7, 7)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := a.MulMat(inv).MaxAbsDiff(Eye(7)); d > 1e-8 {
-		t.Errorf("A*inv(A) deviates from I by %g", d)
-	}
-}
-
 // Property: for random SPD matrices, Cholesky exists and solving recovers
 // arbitrary right-hand sides.
 func TestQuickCholeskySolveProperty(t *testing.T) {
@@ -373,14 +304,14 @@ func TestQuickTransposeProperties(t *testing.T) {
 	}
 }
 
-// Property: Outer(v, w) applied to e_k selects w-scaled columns:
-// Outer(v,w)*x == v * (w . x).
+// Property: an outer product added to zero applied to x is v scaled by
+// w . x: (v w^T) x == v (w . x).
 func TestQuickOuterProperty(t *testing.T) {
 	f := func(v0, v1, w0, w1, x0, x1 float64) bool {
 		v := Vec{clampQ(v0), clampQ(v1)}
 		w := Vec{clampQ(w0), clampQ(w1)}
 		x := Vec{clampQ(x0), clampQ(x1)}
-		got := Outer(v, w).MulVec(x)
+		got := NewMat(2, 2).AddOuter(1, v, w).MulVec(x)
 		want := v.Scale(w.Dot(x))
 		for i := range got {
 			if !almostEq(got[i], want[i], 1e-9*(1+math.Abs(want[i]))) {
@@ -401,4 +332,60 @@ func clampQ(x float64) float64 {
 		return 1
 	}
 	return math.Mod(x, 100)
+}
+
+// Property: for random SPD matrices of any small size, the Cholesky
+// inverse is a two-sided inverse.
+func TestQuickCholInverseIdentity(t *testing.T) {
+	f := func(seed int64, size uint8) bool {
+		n := int(size%6) + 1
+		a := randomSPD(n, seed)
+		l, err := Cholesky(a)
+		if err != nil {
+			return false
+		}
+		inv := CholInverse(l)
+		return a.MulMat(inv).MaxAbsDiff(Eye(n)) < 1e-8 && inv.MulMat(a).MaxAbsDiff(Eye(n)) < 1e-8
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// SolveLower is forward substitution on the lower triangle only: entries
+// above the diagonal are never read.
+func TestSolveLower(t *testing.T) {
+	l, err := Cholesky(randomSPD(5, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Vec{1, -2, 3, 0.5, -1}
+	b := l.MulVec(want)
+	for r := 0; r < 5; r++ {
+		for c := r + 1; c < 5; c++ {
+			l.Set(r, c, math.NaN())
+		}
+	}
+	got := SolveLower(l, b)
+	for i := range want {
+		if !almostEq(got[i], want[i], 1e-10) {
+			t.Fatalf("SolveLower = %v, want %v", got, want)
+		}
+	}
+}
+
+// SolveUpperT solves against the transpose of the lower factor without
+// forming it: L^T x = b.
+func TestSolveUpperT(t *testing.T) {
+	l, err := Cholesky(randomSPD(5, 22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Vec{0.25, 4, -1, 2, -3}
+	got := SolveUpperT(l, l.T().MulVec(want))
+	for i := range want {
+		if !almostEq(got[i], want[i], 1e-10) {
+			t.Fatalf("SolveUpperT = %v, want %v", got, want)
+		}
+	}
 }

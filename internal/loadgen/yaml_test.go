@@ -71,3 +71,20 @@ func TestLoadProfileRejectsBadInput(t *testing.T) {
 		t.Fatalf("yamlite error not surfaced: %v", err)
 	}
 }
+
+// A profile named like a non-finite float loads with that name instead of
+// failing in the JSON conversion.
+func TestLoadProfileNonFiniteLookingName(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.yaml")
+	body := "name: Inf\ntemplates:\n  - name: hot\n    spec:\n      figure: fig1a\nphases:\n  - name: p\n    duration_sec: 5\n    rps: 1\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := LoadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != "Inf" {
+		t.Fatalf("Name = %q, want Inf", p.Name)
+	}
+}

@@ -182,12 +182,6 @@ func (s *Stats) Merge(o *Stats) {
 	}
 }
 
-// Bytes returns the simulated size of the statistics (the per-point
-// aggregation payload is this divided by K when emitted per point).
-func (s *Stats) Bytes() int64 {
-	return int64(s.K) * int64(8*(1+s.D+s.D*s.D))
-}
-
 // scatterAbout returns sum_j (x_j - mu)(x_j - mu)^T for cluster k,
 // reconstructed from the raw moments.
 func (s *Stats) scatterAbout(k int, mu linalg.Vec) *linalg.Mat {
@@ -248,7 +242,7 @@ func UpdateParams(rng *randgen.RNG, h Hyper, p *Params, s *Stats) error {
 func UpdateFlops(k, d int) float64 { return float64(k) * 6 * float64(d*d*d) }
 
 // LogLikelihood returns the data log-likelihood under the current
-// parameters (for convergence diagnostics in tests and examples).
+// parameters (for convergence diagnostics in tests).
 func (p *Params) LogLikelihood(xs []linalg.Vec) float64 {
 	var total float64
 	for _, x := range xs {

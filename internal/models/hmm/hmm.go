@@ -57,11 +57,6 @@ func (sc *Scratch) weights(k int) []float64 {
 	return sc.w[:k]
 }
 
-// Bytes returns the simulated size of the model state.
-func (m *Model) Bytes() int64 {
-	return int64(8 * (m.K + m.K*m.K + m.K*m.V))
-}
-
 // Init draws a model from the priors.
 func Init(rng *randgen.RNG, h Hyper) *Model {
 	m := &Model{K: h.K, V: h.V}
@@ -92,16 +87,11 @@ func InitStates(rng *randgen.RNG, words []int, k int) []int {
 	return states
 }
 
-// ResampleStates updates the state assignments of one document for
+// ResampleStatesScratch updates the state assignments of one document for
 // iteration iter, touching position k (1-based) only when k and iter have
 // the same parity — the paper's alternating scheme. states is mutated.
-func (m *Model) ResampleStates(rng *randgen.RNG, words, states []int, iter int) {
-	var sc Scratch
-	m.ResampleStatesScratch(rng, words, states, iter, &sc)
-}
-
-// ResampleStatesScratch is ResampleStates with a caller-owned weight
-// buffer, for hot paths that resample many documents.
+// sc is a caller-owned weight buffer, for hot paths that resample many
+// documents.
 func (m *Model) ResampleStatesScratch(rng *randgen.RNG, words, states []int, iter int, sc *Scratch) {
 	n := len(words)
 	w := sc.weights(m.K)
@@ -147,12 +137,6 @@ func NewCounts(k, v int) *Counts {
 		c.Trans = append(c.Trans, linalg.NewVec(k))
 	}
 	return c
-}
-
-// Bytes returns the simulated size of the counts (the aggregation payload
-// each worker ships: roughly K*V + K*K + K doubles).
-func (c *Counts) Bytes() int64 {
-	return int64(8 * (c.K*c.V + c.K*c.K + c.K))
 }
 
 // Fold adds a sender's partial into the total.

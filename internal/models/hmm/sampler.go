@@ -84,12 +84,8 @@ func safeAlias(w linalg.Vec) *randgen.Alias {
 	return randgen.NewAlias(w)
 }
 
-// HasProposals reports whether a proposal cache is installed (tests and
-// engine assertions).
-func (m *Model) HasProposals() bool { return m.props != nil }
-
 // ResampleStatesTier resamples one document's parity-selected positions
-// through the given sampler tier. TierDense is exactly ResampleStates.
+// through the given sampler tier. TierDense is exactly ResampleStatesScratch.
 // sc may be nil (a private buffer is allocated); hot paths pass their
 // own.
 func (m *Model) ResampleStatesTier(rng *randgen.RNG, words, states []int, iter int, tier randgen.SamplerTier, sc *Scratch) {

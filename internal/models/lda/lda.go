@@ -112,19 +112,10 @@ func (m *Model) ResampleZ(rng *randgen.RNG, d *Doc) {
 // ZFlops approximates the work of resampling one word's topic.
 func ZFlops(t int) float64 { return 3 * float64(t) }
 
-// TopicCounts returns f(j, .): the document's per-topic assignment counts.
-func (d *Doc) TopicCounts(t int) linalg.Vec {
-	f := linalg.NewVec(t)
-	for _, z := range d.Z {
-		f[z]++
-	}
-	return f
-}
-
-// ResampleTheta redraws theta_j ~ Dirichlet(alpha + f(j, .)). The
-// posterior parameters are accumulated in the document's scratch buffer
-// in the same count-then-smooth order TopicCounts uses, so the dense
-// default stays byte-identical while avoiding the per-call allocation.
+// ResampleTheta redraws theta_j ~ Dirichlet(alpha + f(j, .)), where
+// f(j, .) is the document's per-topic assignment count. The posterior
+// parameters are accumulated in the document's scratch buffer, count
+// first and then smoothed, which avoids a per-call allocation.
 func (d *Doc) ResampleTheta(rng *randgen.RNG, h Hyper) {
 	f := d.weights(h.T)
 	for t := range f {
@@ -171,9 +162,6 @@ func (c *WordCounts) Accumulate(d *Doc, weight float64) {
 	}
 }
 
-// Bytes returns the simulated size of the counts payload.
-func (c *WordCounts) Bytes() int64 { return int64(8 * c.T * c.V) }
-
 // UpdatePhi redraws each phi_t ~ Dirichlet(beta + g(t, .)). m is mutated.
 // UpdatePhi runs only at serial points, so it may use the Model scratch.
 func (m *Model) UpdatePhi(rng *randgen.RNG, h Hyper, c *WordCounts) {
@@ -205,28 +193,4 @@ func (m *Model) LogLikelihood(d *Doc) float64 {
 		ll += math.Log(p)
 	}
 	return ll
-}
-
-// TopWords returns the indices of the n highest-probability words of
-// topic t (for the topic-model example's output).
-func (m *Model) TopWords(t, n int) []int {
-	type wp struct {
-		w int
-		p float64
-	}
-	best := make([]wp, 0, n+1)
-	for w, p := range m.Phi[t] {
-		best = append(best, wp{w, p})
-		for i := len(best) - 1; i > 0 && best[i].p > best[i-1].p; i-- {
-			best[i], best[i-1] = best[i-1], best[i]
-		}
-		if len(best) > n {
-			best = best[:n]
-		}
-	}
-	out := make([]int, len(best))
-	for i, b := range best {
-		out[i] = b.w
-	}
-	return out
 }

@@ -67,10 +67,6 @@ func (m *Model) RefreshProposals(h Hyper) {
 	m.props = p
 }
 
-// HasProposals reports whether a proposal cache is installed (tests and
-// engine assertions).
-func (m *Model) HasProposals() bool { return m.props != nil }
-
 // ResampleZTier redraws every topic assignment through the given sampler
 // tier. TierDense is exactly ResampleZ.
 func (m *Model) ResampleZTier(rng *randgen.RNG, d *Doc, tier randgen.SamplerTier) {
@@ -115,16 +111,6 @@ func (d *Doc) zCounts() *ordmap.Map[int, int] {
 		}
 	}
 	return d.zc
-}
-
-// ZTopicCount reports the sparse structure's count for one topic and
-// whether the sparse counts are materialized at all (test hook).
-func (d *Doc) ZTopicCount(t int) (int, bool) {
-	if d.zc == nil {
-		return 0, false
-	}
-	n, _ := d.zc.Get(t)
-	return n, true
 }
 
 // moveZ retargets token i and keeps the sparse counts in sync.

@@ -57,7 +57,10 @@ func TestDenseTierByteIdentity(t *testing.T) {
 		}
 		docA.ResampleTheta(rngA, h)
 		// Reference theta update: allocate counts, smooth, draw.
-		f := docB.TopicCounts(h.T)
+		f := make([]float64, h.T)
+		for _, z := range docB.Z {
+			f[z]++
+		}
 		for k := range f {
 			f[k] += h.Alpha
 		}
@@ -207,18 +210,17 @@ func TestMHSparseCountsConsistent(t *testing.T) {
 	for _, z := range d.Z {
 		want[z]++
 	}
+	if d.zc == nil {
+		t.Fatal("sparse counts not materialized after MH resampling")
+	}
 	for k := 0; k < h.T; k++ {
-		got, ok := d.ZTopicCount(k)
-		if !ok {
-			t.Fatal("sparse counts not materialized after MH resampling")
-		}
-		if got != want[k] {
+		if got, _ := d.zc.Get(k); got != want[k] {
 			t.Errorf("topic %d: sparse count %d, recount %d", k, got, want[k])
 		}
 	}
 	// The dense tier invalidates the sparse structure.
 	m.ResampleZTier(rng, d, randgen.TierDense)
-	if _, ok := d.ZTopicCount(0); ok {
+	if d.zc != nil {
 		t.Error("dense resample should invalidate the sparse counts")
 	}
 }

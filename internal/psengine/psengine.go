@@ -69,14 +69,8 @@ func New(cl *sim.Cluster, cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the effective shard count.
-func (e *Engine) Shards() int { return e.cfg.Shards }
-
 // Staleness returns the effective staleness bound.
 func (e *Engine) Staleness() int { return e.cfg.Staleness }
-
-// Cycles returns the number of completed cycles.
-func (e *Engine) Cycles() int { return e.cycle }
 
 // shardHost returns the primary host machine of a shard.
 func (e *Engine) shardHost(shard int) int { return shard % e.cl.NumMachines() }
@@ -121,11 +115,6 @@ func (e *Engine) lag(worker int) int {
 	}
 	return l
 }
-
-// Version returns the model version worker w computes against this cycle:
-// the state after cycles 0..Version-1 were fully applied (plus the
-// current cycle's Setup when Version equals the cycle number).
-func (e *Engine) Version(worker int) int { return e.cycle - e.lag(worker) }
 
 // Load runs fn on every machine concurrently — partition scans, data
 // allocation, and any other embarrassingly parallel setup.

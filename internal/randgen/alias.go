@@ -80,9 +80,6 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// K returns the number of outcomes.
-func (a *Alias) K() int { return len(a.prob) }
-
 // Draw samples an index in O(1): pick a uniform column, then accept it or
 // take its alias.
 func (a *Alias) Draw(r *RNG) int {

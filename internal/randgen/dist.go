@@ -110,15 +110,6 @@ func (r *RNG) Categorical(weights []float64) int {
 	return len(weights) - 1 // round-off fall-through
 }
 
-// Multinomial returns counts of n draws from Categorical(weights).
-func (r *RNG) Multinomial(n int, weights []float64) []int {
-	counts := make([]int, len(weights))
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(weights)]++
-	}
-	return counts
-}
-
 // InvGaussian returns a sample from the inverse Gaussian (Wald)
 // distribution with mean mu and shape lambda, via the
 // Michael–Schucany–Haas transformation.

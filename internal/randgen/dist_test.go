@@ -133,21 +133,6 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
-func TestMultinomialTotals(t *testing.T) {
-	r := New(27)
-	counts := r.Multinomial(1000, []float64{1, 1, 2})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 1000 {
-		t.Errorf("Multinomial counts sum to %d, want 1000", total)
-	}
-	if counts[2] < 350 || counts[2] > 650 {
-		t.Errorf("Multinomial heavy category count %d implausible", counts[2])
-	}
-}
-
 func TestInvGaussianMoments(t *testing.T) {
 	r := New(28)
 	mu, lambda := 2.0, 6.0

@@ -134,8 +134,3 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	}
 	return mu + sigma*r.Norm()
 }
-
-// Exp returns a standard exponential sample.
-func (r *RNG) Exp() float64 {
-	return -math.Log(r.Float64Open())
-}

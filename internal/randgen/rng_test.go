@@ -144,14 +144,3 @@ func TestNormalPanicsOnNegativeSigma(t *testing.T) {
 	}()
 	New(1).Normal(0, -1)
 }
-
-func TestExpMoments(t *testing.T) {
-	r := New(13)
-	mean, v := moments(100000, r.Exp)
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("Exp mean = %v", mean)
-	}
-	if math.Abs(v-1) > 0.05 {
-		t.Errorf("Exp variance = %v", v)
-	}
-}

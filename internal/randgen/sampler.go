@@ -43,9 +43,6 @@ func (t SamplerTier) String() string {
 	}
 }
 
-// SamplerTiers lists the valid tier names in order.
-func SamplerTiers() []string { return []string{"dense", "alias", "mhalias"} }
-
 // ParseSamplerTier parses a tier name; the empty string means the dense
 // default. Unknown names are rejected together with the valid set.
 func ParseSamplerTier(s string) (SamplerTier, error) {

@@ -32,9 +32,6 @@ func NewEngine(c *sim.Cluster) *Engine {
 	return e
 }
 
-// Cluster returns the underlying simulated cluster.
-func (e *Engine) Cluster() *sim.Cluster { return e.c }
-
 // Run executes the plan and returns the materialized result table.
 func (e *Engine) Run(name string, p Plan) (*Table, error) {
 	t, err := p.run(e)
@@ -138,34 +135,6 @@ func (n *projectNode) run(e *Engine) (*Table, error) {
 	return e.narrowPhase("project", in, n.out, n.scaled(), func(t Tuple, out *[]Tuple) {
 		*out = append(*out, n.fn(t))
 	})
-}
-
-func (n *flatNode) run(e *Engine) (*Table, error) {
-	in, err := n.in.run(e)
-	if err != nil {
-		return nil, err
-	}
-	return e.narrowPhase("flatmap", in, n.out, n.scaled(), func(t Tuple, out *[]Tuple) {
-		*out = append(*out, n.fn(t)...)
-	})
-}
-
-func (n *unionNode) run(e *Engine) (*Table, error) {
-	a, err := n.a.run(e)
-	if err != nil {
-		return nil, err
-	}
-	b, err := n.b.run(e)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable("union", n.Schema(), e.machines())
-	out.Scaled = n.scaled()
-	for i := range out.Parts {
-		out.Parts[i] = append(append([]Tuple{}, a.PartRows(i)...), b.PartRows(i)...)
-	}
-	// Union is free: it is a logical concatenation of HDFS files.
-	return out, nil
 }
 
 func (n *modelNode) run(e *Engine) (*Table, error) {
@@ -512,86 +481,6 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 	return out, nil
 }
 
-func (n *expandAggNode) run(e *Engine) (*Table, error) {
-	in, err := n.in.run(e)
-	if err != nil {
-		return nil, err
-	}
-	e.c.AdvanceNamed("mr-job-launch", e.c.Config().Cost.MRJobLaunch)
-	// Map side: expand each row straight into a local sum map (the fused
-	// combiner); generated rows are charged at the combiner rate only.
-	partials := make([]*ordmap.Map[keyRef, Tuple], e.machines())
-	for i := range partials {
-		partials[i] = ordmap.New[keyRef, Tuple]()
-	}
-	localMaps := make([]*ordmap.Map[keyRef, Tuple], e.machines())
-	err = e.c.RunPhaseFM("expandagg-map", func(machine int, m *sim.Meter) error {
-		m.SetProfile(sim.ProfileSQLEngine)
-		nRows := in.PartLen(machine)
-		chargeRows(m, nRows, in.Scaled)
-		chargeDisk(m, e.c, nRows, len(in.Schema), in.Scaled)
-		chargeCombine(m, e.c, float64(nRows)*float64(n.fanout), in.Scaled)
-		local := ordmap.New[keyRef, Tuple]()
-		in.EachRow(machine, func(t Tuple) {
-			n.expand(t, func(key Tuple, val float64) {
-				k := keyOf(key, identityCols(len(key)))
-				if prev, ok := local.Get(k); ok {
-					prev[len(prev)-1] += val
-				} else {
-					row := make(Tuple, 0, len(key)+1)
-					row = append(row, key...)
-					row = append(row, val)
-					local.Set(k, row)
-				}
-			})
-		})
-		// Ship one partial per group to its reducer.
-		outWidth := len(n.out)
-		local.Each(func(k keyRef, row Tuple) {
-			dst := int(k.hash() % uint64(e.machines()))
-			bytes := float64(tupleBytes(outWidth))
-			if n.scaled() {
-				m.SendData(dst, bytes)
-			} else {
-				m.SendModel(dst, bytes)
-			}
-		})
-		countShuffle(m, local.Len(), outWidth, n.scaled())
-		chargeRows(m, local.Len(), n.scaled())
-		localMaps[machine] = local
-		return nil
-	}, func(machine int, m *sim.Meter) error {
-		// Fold this machine's partials into the shared reducer maps, in
-		// machine order (the cross-machine float additions happen here).
-		localMaps[machine].Each(func(k keyRef, row Tuple) {
-			dst := int(k.hash() % uint64(e.machines()))
-			partials[dst].Merge(k, row, func(old, new Tuple) Tuple {
-				old[len(old)-1] += new[len(new)-1]
-				return old
-			})
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable("expandagg", n.out, e.machines())
-	out.Scaled = n.scaled()
-	err = e.c.RunPhaseF("expandagg-reduce", func(machine int, m *sim.Meter) error {
-		m.SetProfile(sim.ProfileSQLEngine)
-		var res []Tuple
-		partials[machine].Each(func(_ keyRef, row Tuple) { res = append(res, row) })
-		chargeRows(m, len(res), n.scaled())
-		chargeDisk(m, e.c, len(res), len(out.Schema), n.scaled())
-		out.Parts[machine] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // identityCols returns [0, 1, ..., n-1].
 func identityCols(n int) []int {
 	out := make([]int, n)
@@ -631,10 +520,6 @@ func (v VGMeter) ChargeOps(calls int, flopsPerCall float64, dim int) {
 func (v VGMeter) ChargeOpsData(calls int, flopsPerCall float64, dim int) {
 	v.m.ChargeLinalg(calls, flopsPerCall, dim)
 }
-
-// ChargeRowsData charges data-proportional per-tuple engine work (e.g. a
-// super-vertex VG emitting per-point tuples).
-func (v VGMeter) ChargeRowsData(rows int) { v.m.ChargeTuples(rows) }
 
 func (n *vgApplyNode) run(e *Engine) (*Table, error) {
 	params, err := n.params.run(e)

@@ -1,10 +1,8 @@
 package relational
 
-import "fmt"
-
 // Plan is a relational operator tree. Build plans with the constructor
 // functions (ScanT, SelectP, ProjectP, HashJoinP, ArithJoinP, GroupAggP,
-// VGApplyP, UnionAllP) and execute them with Engine.Run.
+// VGApplyP, AsModelP) and execute them with Engine.Run.
 type Plan interface {
 	// Schema returns the output schema.
 	Schema() Schema
@@ -50,35 +48,6 @@ func ProjectP(in Plan, out Schema, fn func(Tuple) Tuple) Plan {
 
 func (n *projectNode) Schema() Schema { return n.out }
 func (n *projectNode) scaled() bool   { return n.in.scaled() }
-
-// flatNode maps each row to zero or more rows (used to unnest).
-type flatNode struct {
-	in  Plan
-	out Schema
-	fn  func(Tuple) []Tuple
-}
-
-// FlatMapP applies fn to every row and concatenates the results.
-func FlatMapP(in Plan, out Schema, fn func(Tuple) []Tuple) Plan {
-	return &flatNode{in: in, out: out, fn: fn}
-}
-
-func (n *flatNode) Schema() Schema { return n.out }
-func (n *flatNode) scaled() bool   { return n.in.scaled() }
-
-// unionNode concatenates two inputs with identical schemas.
-type unionNode struct{ a, b Plan }
-
-// UnionAllP concatenates the rows of a and b.
-func UnionAllP(a, b Plan) Plan {
-	if len(a.Schema()) != len(b.Schema()) {
-		panic("relational: UnionAll schema width mismatch")
-	}
-	return &unionNode{a: a, b: b}
-}
-
-func (n *unionNode) Schema() Schema { return n.a.Schema() }
-func (n *unionNode) scaled() bool   { return n.a.scaled() || n.b.scaled() }
 
 // hashJoinNode is an equi-join executed as a repartition join.
 type hashJoinNode struct {
@@ -185,37 +154,6 @@ func AsModelP(in Plan) Plan { return &modelNode{in: in} }
 func (n *modelNode) Schema() Schema { return n.in.Schema() }
 func (n *modelNode) scaled() bool   { return false }
 
-// expandAggNode is a GROUP BY over a per-row expansion fused into the
-// combiner: each input row generates many (key, value) contributions that
-// are folded directly into the aggregation state without materializing
-// the expanded relation (SimSQL pipelines pure expansions into the
-// combiner — the only way its Gram-matrix query, one group per matrix
-// entry over N x P^2 generated rows, finishes at all).
-type expandAggNode struct {
-	in       Plan
-	out      Schema
-	keyWidth int
-	fanout   int // expansion cardinality per input row (for charging)
-	expand   func(t Tuple, emit func(key Tuple, val float64))
-	model    bool
-}
-
-// ExpandAggP builds an expand-and-aggregate: for every input row, expand
-// calls emit zero or more times with a group key (keyWidth columns, at
-// most 4) and a value; values are summed per key. fanout declares the
-// per-row expansion cardinality used for cost charging. The output schema
-// is out (keyWidth key columns plus one sum column). If model is true the
-// output cardinality is model-proportional.
-func ExpandAggP(in Plan, out Schema, keyWidth, fanout int, expand func(t Tuple, emit func(key Tuple, val float64)), model bool) Plan {
-	if keyWidth < 1 || keyWidth > 4 || len(out) != keyWidth+1 {
-		panic("relational: ExpandAggP needs 1-4 key columns and out = keys + 1 sum column")
-	}
-	return &expandAggNode{in: in, out: out, keyWidth: keyWidth, fanout: fanout, expand: expand, model: model}
-}
-
-func (n *expandAggNode) Schema() Schema { return n.out }
-func (n *expandAggNode) scaled() bool   { return !n.model && n.in.scaled() }
-
 // VG is a variable-generation function: SimSQL's randomized table-valued
 // user-defined function, written (per the paper) in C++.
 type VG interface {
@@ -247,32 +185,3 @@ func VGApplyP(vg VG, groupCol int, params Plan, model bool) Plan {
 
 func (n *vgApplyNode) Schema() Schema { return n.vg.OutSchema() }
 func (n *vgApplyNode) scaled() bool   { return !n.model && n.params.scaled() }
-
-func describe(p Plan) string {
-	switch n := p.(type) {
-	case *scanNode:
-		return "scan " + n.t.Name
-	case *selectNode:
-		return "select"
-	case *projectNode:
-		return "project"
-	case *flatNode:
-		return "flatmap"
-	case *unionNode:
-		return "union"
-	case *hashJoinNode:
-		return "hashjoin"
-	case *arithJoinNode:
-		return "crossjoin"
-	case *groupAggNode:
-		return "groupagg"
-	case *expandAggNode:
-		return "expandagg"
-	case *vgApplyNode:
-		return "vg " + n.vg.Name()
-	case *modelNode:
-		return describe(n.in)
-	default:
-		return fmt.Sprintf("%T", p)
-	}
-}

@@ -20,6 +20,3 @@ func (e *Engine) handleFault(f sim.FaultInfo) error {
 	e.recoveries++
 	return nil
 }
-
-// Recoveries reports how many task re-executions the engine has performed.
-func (e *Engine) Recoveries() int { return e.recoveries }

@@ -53,8 +53,8 @@ func TestOnlyFailedTaskReruns(t *testing.T) {
 	if f.RecoverySec > phaseSec+cost.FaultDetectSec+cost.MRTaskRetrySec {
 		t.Errorf("MR recovery %v exceeds one phase of work %v", f.RecoverySec, phaseSec)
 	}
-	if e.Recoveries() != 1 {
-		t.Errorf("Recoveries = %d, want 1", e.Recoveries())
+	if e.recoveries != 1 {
+		t.Errorf("Recoveries = %d, want 1", e.recoveries)
 	}
 }
 

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -41,9 +42,6 @@ func TestSchemaHelpers(t *testing.T) {
 	s := Ints("a", "b").Concat(Floats("x"))
 	if len(s) != 3 || s[2].Kind != KindFloat {
 		t.Fatalf("schema = %+v", s)
-	}
-	if s.ColIndex("b") != 1 || s.ColIndex("zzz") != -1 {
-		t.Errorf("ColIndex wrong")
 	}
 }
 
@@ -97,38 +95,6 @@ func TestSelectProject(t *testing.T) {
 	}
 }
 
-func TestFlatMapP(t *testing.T) {
-	e := testEngine(2)
-	tbl := makeTable("d", Ints("n"), 2, true, T(2), T(3))
-	p := FlatMapP(ScanT(tbl), Ints("i"), func(tu Tuple) []Tuple {
-		out := make([]Tuple, tu.Int(0))
-		for i := range out {
-			out[i] = T(float64(i))
-		}
-		return out
-	})
-	got, err := e.Run("q", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 5 {
-		t.Errorf("rows = %d, want 5", got.NumRows())
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	e := testEngine(2)
-	a := makeTable("a", Ints("x"), 2, false, T(1), T(2))
-	b := makeTable("b", Ints("x"), 2, false, T(3))
-	got, err := e.Run("q", UnionAllP(ScanT(a), ScanT(b)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 3 {
-		t.Errorf("rows = %d", got.NumRows())
-	}
-}
-
 func TestHashJoin(t *testing.T) {
 	e := testEngine(3)
 	emp := makeTable("emp", Ints("eid", "dept"), 3, true,
@@ -179,7 +145,7 @@ func TestArithJoinMatchesHashJoinResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossTime := e1.Cluster().Now()
+	crossTime := e1.c.Now()
 
 	// Workaround: materialize nextPos = pos+1 on the left, equi-join.
 	e2, l2, r2 := build()
@@ -190,7 +156,7 @@ func TestArithJoinMatchesHashJoinResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equiTime := e2.Cluster().Now()
+	equiTime := e2.c.Now()
 
 	if cross.NumRows() != n || equi.NumRows() != n {
 		t.Fatalf("cross=%d equi=%d rows, want %d", cross.NumRows(), equi.NumRows(), n)
@@ -365,12 +331,12 @@ func TestVGIterationsGetFreshRandomness(t *testing.T) {
 func TestWideOpsChargeMRJobLaunch(t *testing.T) {
 	e := testEngine(2)
 	tbl := makeTable("d", Schema{{"g", KindInt}, {"v", KindFloat}}, 2, true, T(1, 1), T(2, 2))
-	before := e.Cluster().Now()
+	before := e.c.Now()
 	if _, err := e.Run("q", GroupAggP(ScanT(tbl), []int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "s"}})); err != nil {
 		t.Fatal(err)
 	}
-	launch := e.Cluster().Config().Cost.MRJobLaunch
-	if got := e.Cluster().Now() - before; got < launch {
+	launch := e.c.Config().Cost.MRJobLaunch
+	if got := e.c.Now() - before; got < launch {
 		t.Errorf("group-by took %v, want at least the MR launch cost %v", got, launch)
 	}
 }
@@ -378,68 +344,19 @@ func TestWideOpsChargeMRJobLaunch(t *testing.T) {
 func TestNarrowOpsCheaperThanWideOps(t *testing.T) {
 	e := testEngine(2)
 	tbl := makeTable("d", Schema{{"g", KindInt}, {"v", KindFloat}}, 2, true, T(1, 1), T(2, 2))
-	t0 := e.Cluster().Now()
+	t0 := e.c.Now()
 	if _, err := e.Run("narrow", SelectP(ScanT(tbl), func(Tuple) bool { return true })); err != nil {
 		t.Fatal(err)
 	}
-	narrow := e.Cluster().Now() - t0
-	t1 := e.Cluster().Now()
+	narrow := e.c.Now() - t0
+	t1 := e.c.Now()
 	if _, err := e.Run("wide", GroupAggP(ScanT(tbl), []int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "s"}})); err != nil {
 		t.Fatal(err)
 	}
-	wide := e.Cluster().Now() - t1
+	wide := e.c.Now() - t1
 	if narrow >= wide {
 		t.Errorf("narrow (%v) should be cheaper than wide (%v)", narrow, wide)
 	}
-}
-
-func TestChainVersioning(t *testing.T) {
-	e := testEngine(2)
-	ch := NewChain(e)
-	data := makeTable("data", Schema{{"id", KindInt}, {"v", KindFloat}}, 2, true,
-		T(1, 1), T(2, 2), T(3, 3))
-	ch.SetBase("data", data)
-	// state[0] = total of data.
-	err := ch.Init("state", AsModelP(GroupAggP(
-		ProjectP(ScanT(data), Schema{{"one", KindInt}, {"v", KindFloat}}, func(tu Tuple) Tuple {
-			return T(0, tu.Float(1))
-		}),
-		[]int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "total"}})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ch.Table("state").Rows()[0][1]; got != 6 {
-		t.Fatalf("state[0] = %v, want 6", got)
-	}
-	// state[i] = state[i-1] total + 1.
-	step := []Update{{
-		Name: "state",
-		Build: func(prev func(string) *Table) Plan {
-			return ProjectP(ScanT(prev("state")), prev("state").Schema, func(tu Tuple) Tuple {
-				return T(tu.Float(0), tu.Float(1)+1)
-			})
-		},
-	}}
-	for i := 0; i < 3; i++ {
-		if err := ch.Step(step); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ch.Iteration() != 3 {
-		t.Errorf("Iteration = %d", ch.Iteration())
-	}
-	if got := ch.Table("state").Rows()[0][1]; got != 9 {
-		t.Errorf("state[3] = %v, want 9", got)
-	}
-}
-
-func TestChainTablePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewChain(testEngine(1)).Table("nope")
 }
 
 func TestKeyRefHashSpreads(t *testing.T) {
@@ -462,94 +379,8 @@ func TestKeyLimitPanics(t *testing.T) {
 	keyOf(T(1, 2, 3, 4, 5), []int{0, 1, 2, 3, 4})
 }
 
-func TestExpandAggP(t *testing.T) {
-	e := testEngine(2)
-	// Two rows, each expanding into 3 keyed contributions.
-	tbl := makeTable("d", Floats("a", "b"), 2, true, T(1, 2), T(3, 4))
-	p := ExpandAggP(ScanT(tbl),
-		Schema{{Name: "k", Kind: relationalKindInt()}, {Name: "sum", Kind: KindFloat}},
-		1, 3,
-		func(tu Tuple, emit func(key Tuple, val float64)) {
-			for k := 0; k < 3; k++ {
-				emit(T(float64(k)), tu.Float(0)+tu.Float(1)+float64(k))
-			}
-		}, true)
-	got, err := e.Run("q", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := got.Rows()
-	sortRows(rows)
-	// key 0: (1+2+0)+(3+4+0)=10; key 1: 12; key 2: 14.
-	want := []float64{10, 12, 14}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %v", rows)
-	}
-	for i, w := range want {
-		if rows[i][1] != w {
-			t.Errorf("key %d sum = %v, want %v", i, rows[i][1], w)
-		}
-	}
-}
-
-// relationalKindInt avoids an unkeyed literal warning in the test above.
-func relationalKindInt() Kind { return KindInt }
-
-func TestExpandAggPPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ExpandAggP(ScanT(NewTable("d", Floats("a"), 1)), Floats("x"), 1, 1, nil, true)
-}
-
-func TestChainStepSequential(t *testing.T) {
-	e := testEngine(1)
-	ch := NewChain(e)
-	base := makeTable("v", Floats("x"), 1, false, T(1))
-	ch.SetBase("a", base)
-	if err := ch.Init("b", ScanT(base)); err != nil {
-		t.Fatal(err)
-	}
-	// Sequential semantics: the second update sees the first's result
-	// within the same sweep.
-	updates := []Update{
-		{Name: "b", Build: func(prev func(string) *Table) Plan {
-			return ProjectP(ScanT(prev("b")), Floats("x"), func(tu Tuple) Tuple {
-				return T(tu.Float(0) + 1)
-			})
-		}},
-		{Name: "c", Build: func(prev func(string) *Table) Plan {
-			return ProjectP(ScanT(prev("b")), Floats("x"), func(tu Tuple) Tuple {
-				return T(tu.Float(0) * 10)
-			})
-		}},
-	}
-	if err := ch.StepSequential(updates); err != nil {
-		t.Fatal(err)
-	}
-	// b became 2, and c saw the fresh b: 20.
-	if got := ch.Table("c").Rows()[0].Float(0); got != 20 {
-		t.Errorf("sequential c = %v, want 20 (fresh b)", got)
-	}
-	// Parallel semantics: c would have seen the stale b.
-	ch2 := NewChain(testEngine(1))
-	ch2.SetBase("a", base)
-	if err := ch2.Init("b", ScanT(base)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch2.Step(updates); err != nil {
-		t.Fatal(err)
-	}
-	if got := ch2.Table("c").Rows()[0].Float(0); got != 10 {
-		t.Errorf("parallel c = %v, want 10 (stale b)", got)
-	}
-}
-
 func TestGroupAggGlobalGroup(t *testing.T) {
-	// nil key columns form one global group (used by the simsqlchain
-	// example).
+	// nil key columns form one global group.
 	e := testEngine(2)
 	tbl := makeTable("d", Floats("v"), 2, true, T(1), T(2), T(3))
 	got, err := e.Run("q", AsModelP(GroupAggP(ScanT(tbl), nil,
@@ -560,5 +391,71 @@ func TestGroupAggGlobalGroup(t *testing.T) {
 	rows := got.Rows()
 	if len(rows) != 1 || rows[0][0] != 6 || rows[0][1] != 3 {
 		t.Errorf("global group = %v", rows)
+	}
+}
+
+// A generator-backed base table and the same rows held in Parts give the
+// same query result at the same virtual cost: readers cannot tell the
+// two representations apart.
+func TestGeneratorTableMatchesMaterialized(t *testing.T) {
+	schema := Schema{{"g", KindInt}, {"v", KindFloat}}
+	rows := func(part int) []Tuple {
+		var out []Tuple
+		for i := 0; i < 5+part; i++ {
+			out = append(out, T(float64(i%3), float64(10*part+i)))
+		}
+		return out
+	}
+	mat := NewTable("d", schema, 2)
+	mat.Scaled = true
+	gen := &Table{Name: "d", Schema: schema, Scaled: true, GenRows: []int{5, 6},
+		Gen: func(part int, yield func(Tuple)) {
+			for _, r := range rows(part) {
+				yield(r)
+			}
+		}}
+	for p := range mat.Parts {
+		mat.Parts[p] = rows(p)
+	}
+	run := func(tbl *Table) ([]Tuple, float64) {
+		e := testEngine(2)
+		got, err := e.Run("q", GroupAggP(SelectP(ScanT(tbl), func(tu Tuple) bool { return tu.Float(1) != 3 }),
+			[]int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "s"}, {Kind: AggCount, Name: "n"}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := got.Rows()
+		sortRows(out)
+		return out, e.c.Now()
+	}
+	wantRows, wantClock := run(mat)
+	gotRows, gotClock := run(gen)
+	if !reflect.DeepEqual(gotRows, wantRows) || gotClock != wantClock {
+		t.Errorf("generator table: rows %v at %v s; materialized: rows %v at %v s", gotRows, gotClock, wantRows, wantClock)
+	}
+}
+
+// AsModelP declares an output model-proportional: downstream work on it
+// is charged once, not multiplied by the scale factor.
+func TestAsModelPChargesUnscaled(t *testing.T) {
+	run := func(model bool) float64 {
+		e := testEngine(2)
+		tbl := makeTable("d", Ints("g", "v"), 2, true, T(1, 1), T(2, 2), T(1, 3), T(2, 4))
+		var p Plan = GroupAggP(ScanT(tbl), []int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "s"}})
+		if model {
+			p = AsModelP(p)
+		}
+		agg, err := e.Run("agg", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := e.c.Now()
+		if _, err := e.Run("next", GroupAggP(ScanT(agg), []int{0}, []AggSpec{{Kind: AggSum, Col: 1, Name: "s"}})); err != nil {
+			t.Fatal(err)
+		}
+		return e.c.Now() - t0
+	}
+	if scaled, model := run(false), run(true); model >= scaled {
+		t.Errorf("downstream of a model table (%v s) should be cheaper than of a scaled one (%v s)", model, scaled)
 	}
 }

@@ -43,16 +43,6 @@ type Col struct {
 // Schema is an ordered list of columns.
 type Schema []Col
 
-// ColIndex returns the index of the named column, or -1.
-func (s Schema) ColIndex(name string) int {
-	for i, c := range s {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Ints is a convenience constructor for an all-integer schema.
 func Ints(names ...string) Schema {
 	s := make(Schema, len(names))
@@ -159,17 +149,6 @@ func (t *Table) EachRow(part int, fn func(Tuple)) {
 	}
 }
 
-// PartRows returns partition part as a slice, materializing a
-// generator-backed partition.
-func (t *Table) PartRows(part int) []Tuple {
-	if t.Gen == nil {
-		return t.Parts[part]
-	}
-	out := make([]Tuple, 0, t.GenRows[part])
-	t.Gen(part, func(row Tuple) { out = append(out, row) })
-	return out
-}
-
 // NumRows returns the total row count.
 func (t *Table) NumRows() int {
 	n := 0
@@ -187,11 +166,6 @@ func (t *Table) Rows() []Tuple {
 		t.EachRow(p, func(row Tuple) { out = append(out, row) })
 	}
 	return out
-}
-
-// bytes returns the simulated byte size of one partition.
-func partitionBytes(rows []Tuple, width int) int64 {
-	return int64(len(rows)) * tupleBytes(width)
 }
 
 // keyRef is a comparable join/group key of up to four columns.

@@ -23,7 +23,6 @@ type Meter struct {
 	serSec  float64
 	serial  bool
 	sends   []sendRec
-	events  []evRec
 	counts  []ctRec
 }
 
@@ -36,28 +35,17 @@ type sendRec struct {
 	bytes float64
 }
 
-// evRec is one buffered trace event. Like sends, events are held on the
-// meter while the task runs and replayed into the shared Recorder at the
-// phase barrier in global task order, so the exported trace is
-// byte-identical for every host worker count. The offset is the task's
-// accumulated compute time when the event was emitted, placing it at an
-// approximate position inside the phase span.
-type evRec struct {
-	name   string
-	kind   string
-	offset float64
-	args   []trace.Arg
-}
-
-// ctRec is one buffered metric sample (counter increment or gauge set).
+// ctRec is one buffered counter increment. Like sends, samples are held
+// on the meter while the task runs and replayed into the shared Recorder
+// at the phase barrier in global task order, so the exported metrics are
+// byte-identical for every host worker count.
 type ctRec struct {
-	name  string
-	val   float64
-	gauge bool
+	name string
+	val  float64
 }
 
 // reset rebinds a pooled meter to a task's machine, clearing buffered
-// state while keeping the send/event/count buffer capacity from the
+// state while keeping the send/count buffer capacity from the
 // meter's previous phase (see Cluster.getScratch).
 func (t *Meter) reset(machine *Machine, cluster *Cluster) {
 	t.machine = machine
@@ -66,7 +54,6 @@ func (t *Meter) reset(machine *Machine, cluster *Cluster) {
 	t.parSec, t.serSec = 0, 0
 	t.serial = false
 	t.sends = t.sends[:0]
-	t.events = t.events[:0]
 	t.counts = t.counts[:0]
 }
 
@@ -82,9 +69,6 @@ func (t *Meter) Scale() float64 { return t.cluster.cfg.Scale }
 // SetProfile selects the language profile (Python, Java, C++, SQL engine)
 // whose constants subsequent charges use.
 func (t *Meter) SetProfile(p Profile) { t.prof = p }
-
-// Profile returns the active language profile.
-func (t *Meter) Profile() Profile { return t.prof }
 
 // Serial marks the task as serial: subsequent compute charges are not
 // divided across the machine's cores (driver-side or master-side work).
@@ -185,16 +169,6 @@ func (t *Meter) apply(perMachinePar, perMachineSer []float64) {
 	}
 }
 
-// Emit records a typed trace event (e.g. a checkpoint write or a shuffle
-// round) against this task. No-op unless the cluster has a Tracer. The
-// event is buffered and replayed at the phase barrier — see evRec.
-func (t *Meter) Emit(kind, name string, args ...trace.Arg) {
-	if t.cluster.cfg.Tracer == nil {
-		return
-	}
-	t.events = append(t.events, evRec{name: name, kind: kind, offset: t.parSec + t.serSec, args: args})
-}
-
 // Count adds v to the named per-phase metric counter (keyed by the
 // cluster's engine label and the active benchmark cell). No-op unless the
 // cluster has a Tracer; buffered and applied at the phase barrier.
@@ -205,34 +179,12 @@ func (t *Meter) Count(name string, v float64) {
 	t.counts = append(t.counts, ctRec{name: name, val: v})
 }
 
-// Gauge sets the named per-phase metric gauge (last write in global task
-// order wins). No-op unless the cluster has a Tracer.
-func (t *Meter) Gauge(name string, v float64) {
-	if t.cluster.cfg.Tracer == nil {
-		return
-	}
-	t.counts = append(t.counts, ctRec{name: name, val: v, gauge: true})
-}
-
-// flushTrace replays this task's buffered events and metric samples into
-// the recorder at the phase barrier. Called on the host goroutine in
-// global task order, only for tasks up to the failure cut, mirroring
-// apply. Event offsets are clamped to the phase duration so instants
-// never land outside their phase span.
-func (t *Meter) flushTrace(rec *trace.Recorder, phase string, start, dur float64) {
-	for _, e := range t.events {
-		off := e.offset
-		if off > dur {
-			off = dur
-		}
-		rec.AddEvent(e.name, e.kind, t.machine.id, start+off, e.args...)
-	}
+// flushTrace replays this task's buffered counter increments into the
+// recorder at the phase barrier. Called on the host goroutine in global
+// task order, only for tasks up to the failure cut, mirroring apply.
+func (t *Meter) flushTrace(rec *trace.Recorder, phase string) {
 	for _, s := range t.counts {
-		if s.gauge {
-			rec.Gauge(phase, s.name, s.val)
-		} else {
-			rec.Count(phase, s.name, s.val)
-		}
+		rec.Count(phase, s.name, s.val)
 	}
 }
 
@@ -242,15 +194,7 @@ func (t *Meter) AllocData(realBytes int64, ctx string) error {
 	return t.machine.Alloc(int64(float64(realBytes)*t.cluster.cfg.Scale), ctx)
 }
 
-// FreeData releases a data-proportional allocation made with AllocData.
-func (t *Meter) FreeData(realBytes int64) {
-	t.machine.Free(int64(float64(realBytes) * t.cluster.cfg.Scale))
-}
-
 // AllocModel charges a model-proportional (unscaled) simulated allocation.
 func (t *Meter) AllocModel(bytes int64, ctx string) error {
 	return t.machine.Alloc(bytes, ctx)
 }
-
-// FreeModel releases a model-proportional allocation.
-func (t *Meter) FreeModel(bytes int64) { t.machine.Free(bytes) }

@@ -81,9 +81,6 @@ func (s *Source[T]) Len() int { return s.n }
 // ChunkSize returns the source's hand-off granularity.
 func (s *Source[T]) ChunkSize() int { return s.chunk }
 
-// Cursor opens a cursor over the full partition.
-func (s *Source[T]) Cursor() *Cursor[T] { return s.Range(0, s.n) }
-
 // Range opens a cursor over elements [lo, hi). The generator draws a
 // variable number of random values per element, so there is no random
 // access: elements before lo are generated and discarded. If a generator

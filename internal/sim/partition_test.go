@@ -54,7 +54,7 @@ func TestSourceChunkedMatchesMaterialized(t *testing.T) {
 // at a time, and the final chunk carries the remainder.
 func TestCursorChunkBounds(t *testing.T) {
 	s := seqSource(10, 4)
-	cur := s.Cursor()
+	cur := s.Range(0, s.Len())
 	defer cur.Close()
 	var sizes []int
 	for {
@@ -83,7 +83,7 @@ func TestSourceRangeBlocks(t *testing.T) {
 	}
 	// Two concurrent-in-time cursors over one source are independent:
 	// interleaving two passes sees the same stream twice.
-	a, b := s.Cursor(), s.Cursor()
+	a, b := s.Range(0, s.Len()), s.Range(0, s.Len())
 	defer a.Close()
 	defer b.Close()
 	ca, _ := a.Next()
@@ -285,7 +285,7 @@ func TestCursorCloseClearsBuffer(t *testing.T) {
 	s := NewSource(3, 4, func() func() []int {
 		return func() []int { return make([]int, 1000) }
 	})
-	cur := s.Cursor()
+	cur := s.Range(0, s.Len())
 	if _, ok := cur.Next(); !ok {
 		t.Fatal("empty first chunk")
 	}

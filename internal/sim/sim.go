@@ -146,17 +146,8 @@ type Machine struct {
 	phaseRecv float64
 }
 
-// ID returns the machine's index in [0, Machines).
-func (m *Machine) ID() int { return m.id }
-
-// RNG returns this machine's deterministic random stream.
-func (m *Machine) RNG() *randgen.RNG { return m.rng }
-
 // MemUsed returns the current simulated allocation in bytes.
 func (m *Machine) MemUsed() int64 { return m.memUsed }
-
-// MemCap returns the machine's simulated memory capacity in bytes.
-func (m *Machine) MemCap() int64 { return m.cluster.cfg.MemBytes }
 
 // Alloc charges bytes of simulated memory, returning an *OOMError if the
 // budget would be exceeded. ctx names the allocation for diagnostics.
@@ -327,9 +318,6 @@ func (c *Cluster) Scale() float64 { return c.cfg.Scale }
 
 // Now returns the virtual clock in seconds.
 func (c *Cluster) Now() float64 { return c.clock }
-
-// Tracer returns the attached trace recorder (nil when tracing is off).
-func (c *Cluster) Tracer() *trace.Recorder { return c.cfg.Tracer }
 
 // SetEngineLabel tags subsequently recorded metric samples with the
 // running platform engine's name. Engines call it at construction; it is
@@ -543,7 +531,7 @@ func (c *Cluster) RunPhase(name string, tasks []Task) error {
 	// Barrier merge, in global task order: run Merge hooks and replay each
 	// task's buffered charges. The lowest-indexed task error wins; work
 	// past it is discarded. lastApplied marks the cut so buffered trace
-	// events of discarded tasks are dropped with their charges.
+	// counters of discarded tasks are dropped with their charges.
 	var firstErr error
 	lastApplied := -1
 	for i := range tasks {
@@ -632,11 +620,11 @@ func (c *Cluster) RunPhase(name string, tasks []Task) error {
 	if rec := c.cfg.Tracer; rec != nil {
 		c.emitPhaseTrace(rec, name, start, dur, worstCompute, worstComm,
 			len(tasks), active, machineSec, computeSec, commSec, taskCount, evalEnd)
-		// Replay buffered engine events and metric samples at the barrier in
-		// global task order, honouring the failure cut exactly like charges.
+		// Replay buffered engine counters at the barrier in global task
+		// order, honouring the failure cut exactly like charges.
 		for i := 0; i <= lastApplied; i++ {
 			if states[i].ran {
-				states[i].meter.flushTrace(rec, name, start, dur)
+				states[i].meter.flushTrace(rec, name)
 			}
 		}
 	}

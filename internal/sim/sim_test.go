@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -452,7 +453,6 @@ func TestTracePhases(t *testing.T) {
 		m.ChargeSec(2)
 		m.SendModel(1-machine, 1e6)
 		m.Count("widgets", 3)
-		m.Emit(trace.KindComm, "handoff")
 		return nil
 	})
 	c.AdvanceNamed("job-launch", 0.25)
@@ -469,7 +469,7 @@ func TestTracePhases(t *testing.T) {
 	if phases[0].Dur <= 0 || phases[1].Dur <= 0 {
 		t.Errorf("phase durations not positive: %+v", phases)
 	}
-	if phases[1].Start != phases[0].End() {
+	if phases[1].Start != phases[0].Start+phases[0].Dur {
 		t.Errorf("phases not contiguous: %+v", phases)
 	}
 	if phases[0].Arg("tasks") != 1 || phases[1].Arg("tasks") != 2 {
@@ -479,28 +479,32 @@ func TestTracePhases(t *testing.T) {
 	if got, want := rec.ClockSum("cell"), c.Now(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("ClockSum = %v, clock = %v", got, want)
 	}
-	// Engine-emitted counters and events survive the barrier flush.
-	k := trace.Key{Engine: "testengine", Cell: "cell", Phase: "two", Name: "widgets"}
-	if v := rec.Metrics().Counter(k); v != 6 {
-		t.Errorf("widgets counter = %v, want 6 (3 from each machine)", v)
+	// Engine-emitted counters survive the barrier flush, under the
+	// engine, cell and phase that emitted them.
+	var widgets []trace.Sample
+	for _, s := range rec.Metrics().Snapshot() {
+		if s.Name == "widgets" {
+			widgets = append(widgets, s)
+		}
 	}
-	if n := len(rec.CellEvents("cell")); n != 2 {
-		t.Errorf("events = %d, want 2 handoffs", n)
+	want := trace.Sample{Key: trace.Key{Engine: "testengine", Cell: "cell", Phase: "two", Name: "widgets"}, Val: 6}
+	if !reflect.DeepEqual(widgets, []trace.Sample{want}) {
+		t.Errorf("widgets counters = %+v, want %+v (3 from each machine)", widgets, want)
 	}
 }
 
 func TestMachineRNGDeterministicAndDistinct(t *testing.T) {
 	a := New(testConfig(2))
 	b := New(testConfig(2))
-	if a.Machine(0).RNG().Uint64() != b.Machine(0).RNG().Uint64() {
+	if a.Machine(0).rng.Uint64() != b.Machine(0).rng.Uint64() {
 		t.Error("same seed, same machine should match")
 	}
-	if a.Machine(0).RNG().Uint64() == a.Machine(1).RNG().Uint64() {
+	if a.Machine(0).rng.Uint64() == a.Machine(1).rng.Uint64() {
 		// One collision is astronomically unlikely but not impossible;
 		// compare a few draws.
 		same := true
 		for i := 0; i < 5; i++ {
-			if a.Machine(0).RNG().Uint64() != a.Machine(1).RNG().Uint64() {
+			if a.Machine(0).rng.Uint64() != a.Machine(1).rng.Uint64() {
 				same = false
 			}
 		}
@@ -632,5 +636,78 @@ func TestDefaultConfigMatchesPaperPlatform(t *testing.T) {
 	}
 	if cfg.Machines != 5 {
 		t.Errorf("machines = %d", cfg.Machines)
+	}
+}
+
+// Engine counters follow the failure cut like charges do: a task past
+// the lowest failing index contributes nothing to the metrics, even when
+// its goroutine ran.
+func TestTraceCountersHonourFailureCut(t *testing.T) {
+	cfg := testConfig(2)
+	rec := trace.NewRecorder()
+	rec.BeginCell("cell")
+	cfg.Tracer = rec
+	c := New(cfg)
+	boom := errors.New("boom")
+	err := c.RunPhase("fail", []Task{
+		{Machine: 0, Run: func(m *Meter) error { m.Count("widgets", 1); return nil }},
+		{Machine: 1, Run: func(m *Meter) error { m.Count("widgets", 10); return boom }},
+		{Machine: 0, Run: func(m *Meter) error { m.Count("widgets", 100); return nil }},
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := rec.Metrics().Total("widgets"); got != 11 {
+		t.Errorf("widgets = %v, want 11 (tasks up to and including the failing one)", got)
+	}
+}
+
+// Counter increments are float sums, so their fold order shows in the
+// bits: the barrier replay must make `-metrics` output identical at any
+// host worker count.
+func TestTraceCountersWorkerCountInvariant(t *testing.T) {
+	run := func(workers int) string {
+		cfg := testConfig(5)
+		cfg.HostWorkers = workers
+		rec := trace.NewRecorder()
+		rec.BeginCell("cell")
+		cfg.Tracer = rec
+		c := New(cfg)
+		c.SetEngineLabel("e")
+		var tasks []Task
+		for mc := 0; mc < 5; mc++ {
+			for k := 0; k < 3; k++ {
+				tasks = append(tasks, Task{Machine: mc, Run: func(m *Meter) error {
+					m.Count("x", m.RNG().Float64()*1e3)
+					m.Count("y", m.RNG().Norm())
+					return nil
+				}})
+			}
+		}
+		if err := c.RunPhase("p", tasks); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Metrics().Render()
+	}
+	base := run(1)
+	for _, w := range []int{2, 8} {
+		if got := run(w); got != base {
+			t.Fatalf("HostWorkers=%d metrics differ:\n%s\nvs\n%s", w, got, base)
+		}
+	}
+}
+
+// Without a Tracer, Count buffers nothing: untraced runs pay no metric
+// bookkeeping.
+func TestCountIsNoopWithoutTracer(t *testing.T) {
+	c := New(testConfig(1))
+	if err := c.RunPhaseF("p", func(machine int, m *Meter) error {
+		m.Count("x", 1)
+		if len(m.counts) != 0 {
+			t.Errorf("untraced meter buffered %d counter samples", len(m.counts))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

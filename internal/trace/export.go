@@ -276,3 +276,11 @@ func TopPhases(r *Recorder, cell string, n int, format func(sec float64) string)
 	}
 	return out
 }
+
+// csvEscape quotes a field when it contains a delimiter or quote.
+func csvEscape(s string) string {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -137,5 +140,54 @@ func TestTopPhasesMergesAndSorts(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "launch") {
 		t.Errorf("second line should be the 3s overhead, got %q", lines[1])
+	}
+}
+
+// The file writers behind -traceout and -tracecsv create missing parent
+// directories and write exactly what the stream writers produce.
+func TestWriteChromeFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nested", "dir", "trace.json")
+	if err := WriteChromeFile(path, sampleRecorder()); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteChrome(&want, sampleRecorder()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file content differs from WriteChrome (err %v)", err)
+	}
+}
+
+func TestWriteCSVFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nested", "trace.csv")
+	if err := WriteCSVFile(path, sampleRecorder()); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteCSV(&want, sampleRecorder()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file content differs from WriteCSV (err %v)", err)
+	}
+}
+
+// Cell and phase names come from figure row and column labels; a comma
+// or quote in one must not shift the CSV columns.
+func TestWriteCSVEscapes(t *testing.T) {
+	r := NewRecorder()
+	r.BeginCell(`fig/Row, "quoted"/col`)
+	r.AddSpan("a,b", CatPhase, -1, 0, 1)
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[1][1] != `fig/Row, "quoted"/col` || rows[1][3] != "a,b" {
+		t.Fatalf("rows = %q", rows)
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,35 +16,27 @@ type Key struct {
 	Name   string
 }
 
-// Sample is one exported metric value.
+// Sample is one exported counter value.
 type Sample struct {
 	Key
-	Val   float64
-	Gauge bool
+	Val float64
 }
 
-// Metrics is a registry of counters (accumulated) and gauges (last value
-// wins). Like the Recorder it is only ever touched from the host
-// goroutine at phase barriers, so it needs no locking and iteration order
-// is made deterministic by sorting on export.
+// Metrics is a registry of accumulated counters. Like the Recorder it is
+// only ever touched from the host goroutine at phase barriers, so it
+// needs no locking and iteration order is made deterministic by sorting
+// on export.
 type Metrics struct {
 	counters map[Key]float64
-	gauges   map[Key]float64
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{counters: map[Key]float64{}, gauges: map[Key]float64{}}
+	return &Metrics{counters: map[Key]float64{}}
 }
 
 // Add accumulates v into the counter at k.
 func (m *Metrics) Add(k Key, v float64) { m.counters[k] += v }
-
-// Set records v as the gauge at k.
-func (m *Metrics) Set(k Key, v float64) { m.gauges[k] = v }
-
-// Counter returns the counter at k (0 when absent).
-func (m *Metrics) Counter(k Key) float64 { return m.counters[k] }
 
 // Total sums every counter with the given metric name across engines,
 // cells, and phases.
@@ -59,32 +50,15 @@ func (m *Metrics) Total(name string) float64 {
 	return s
 }
 
-// CellTotal sums every counter with the given metric name within one cell.
-func (m *Metrics) CellTotal(cell, name string) float64 {
-	var s float64
-	for k, v := range m.counters {
-		if k.Cell == cell && k.Name == name {
-			s += v
-		}
-	}
-	return s
-}
-
-// Snapshot returns every sample — counters first, then gauges — sorted by
-// (cell, engine, phase, name) so exports are deterministic.
+// Snapshot returns every sample sorted by (cell, engine, phase, name) so
+// exports are deterministic.
 func (m *Metrics) Snapshot() []Sample {
-	out := make([]Sample, 0, len(m.counters)+len(m.gauges))
+	out := make([]Sample, 0, len(m.counters))
 	for k, v := range m.counters {
 		out = append(out, Sample{Key: k, Val: v})
 	}
-	for k, v := range m.gauges {
-		out = append(out, Sample{Key: k, Val: v, Gauge: true})
-	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.Gauge != b.Gauge {
-			return !a.Gauge
-		}
 		if a.Cell != b.Cell {
 			return a.Cell < b.Cell
 		}
@@ -105,44 +79,11 @@ func (m *Metrics) Render() string {
 	samples := m.Snapshot()
 	var b strings.Builder
 	for _, s := range samples {
-		kind := "counter"
-		if s.Gauge {
-			kind = "gauge"
-		}
 		fmt.Fprintf(&b, "%-7s %-44s %-10s %-28s %s\n",
-			kind, s.Cell, s.Engine, s.Phase+"/"+s.Name, formatFloat(s.Val))
+			"counter", s.Cell, s.Engine, s.Phase+"/"+s.Name, formatFloat(s.Val))
 	}
 	return b.String()
 }
 
-// WriteCSV writes the registry as CSV with a fixed header.
-func (m *Metrics) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "kind,cell,engine,phase,name,value\n"); err != nil {
-		return err
-	}
-	for _, s := range m.Snapshot() {
-		kind := "counter"
-		if s.Gauge {
-			kind = "gauge"
-		}
-		line := strings.Join([]string{
-			kind, csvEscape(s.Cell), csvEscape(s.Engine), csvEscape(s.Phase),
-			csvEscape(s.Name), formatFloat(s.Val),
-		}, ",") + "\n"
-		if _, err := io.WriteString(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // formatFloat renders a float minimally and deterministically.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// csvEscape quotes a field when it contains a delimiter or quote.
-func csvEscape(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}

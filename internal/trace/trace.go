@@ -1,6 +1,6 @@
 // Package trace is the simulator's observability layer: a structured
 // span/event subsystem on the virtual clock, plus a metrics registry of
-// counters and gauges keyed by engine, benchmark cell, and phase.
+// counters keyed by engine, benchmark cell, and phase.
 //
 // The paper explains every headline number — the Table 4-8 cells, the
 // "Fail" entries, Hadoop's per-iteration overhead — by appeal to *where
@@ -9,9 +9,9 @@
 // sim.RunPhase emits a phase span and per-machine task spans, every
 // framework launch overhead emits an overhead span, and the
 // fault-injection path (internal/faults via internal/sim) emits crash
-// events plus lost-work and recovery spans. Engines contribute typed
-// events and counters (bytes shuffled, messages sent) through the
-// sim.Meter, which buffers them per task and replays them in global task
+// events plus lost-work and recovery spans. Engines contribute counters
+// (bytes shuffled, messages sent) through the sim.Meter, which buffers
+// them per task and replays them in global task
 // order at the phase barrier — the same discipline as network sends — so
 // a recorded trace is byte-identical at any host worker count.
 //
@@ -55,9 +55,6 @@ type Span struct {
 	Dur     float64 // virtual seconds
 	Args    []Arg
 }
-
-// End returns the span's closing virtual time.
-func (s Span) End() float64 { return s.Start + s.Dur }
 
 // Arg returns the named annotation (0 when absent).
 func (s Span) Arg(key string) float64 {
@@ -107,16 +104,10 @@ func (r *Recorder) BeginCell(cell string) {
 	r.engine = ""
 }
 
-// Cell returns the current cell scope.
-func (r *Recorder) Cell() string { return r.cell }
-
 // SetEngine tags subsequent metric samples with the running platform
 // engine ("spark", "simsql", "graphlab", "giraph"). Engines call this at
 // construction through sim.Cluster.SetEngineLabel.
 func (r *Recorder) SetEngine(name string) { r.engine = name }
-
-// Engine returns the current engine label.
-func (r *Recorder) Engine() string { return r.engine }
 
 // AddSpan records one closed interval in the current cell scope.
 func (r *Recorder) AddSpan(name, cat string, machine int, start, dur float64, args ...Arg) {
@@ -138,12 +129,6 @@ func (r *Recorder) AddEvent(name, kind string, machine int, at float64, args ...
 // given phase, and name.
 func (r *Recorder) Count(phase, name string, v float64) {
 	r.metrics.Add(Key{Engine: r.engine, Cell: r.cell, Phase: phase, Name: name}, v)
-}
-
-// Gauge sets the gauge keyed by the current engine and cell, the given
-// phase, and name.
-func (r *Recorder) Gauge(phase, name string, v float64) {
-	r.metrics.Set(Key{Engine: r.engine, Cell: r.cell, Phase: phase, Name: name}, v)
 }
 
 // Metrics returns the recorder's registry.

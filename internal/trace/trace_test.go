@@ -16,7 +16,6 @@ func sampleRecorder() *Recorder {
 	r.AddEvent("crash", KindFault, 1, 1.0)
 	r.Count("load", "bytes_sent", 100)
 	r.Count("load", "bytes_sent", 50)
-	r.Gauge("load", "supersteps", 7)
 	r.BeginCell("figX/RowB/colA")
 	r.SetEngine("giraph")
 	r.AddSpan("superstep-0", CatPhase, -1, 0, 1.25)
@@ -39,10 +38,10 @@ func TestRecorderScoping(t *testing.T) {
 		t.Errorf("cell A events = %d, want 1", n)
 	}
 	// BeginCell resets the engine label: cell B's counter is giraph's.
-	if v := r.Metrics().Counter(Key{Engine: "giraph", Cell: "figX/RowB/colA", Phase: "superstep-0", Name: "messages"}); v != 12 {
+	if v := r.Metrics().counters[Key{Engine: "giraph", Cell: "figX/RowB/colA", Phase: "superstep-0", Name: "messages"}]; v != 12 {
 		t.Errorf("giraph messages = %v, want 12", v)
 	}
-	if v := r.Metrics().Counter(Key{Engine: "spark", Cell: "figX/RowA/colA", Phase: "load", Name: "bytes_sent"}); v != 150 {
+	if v := r.Metrics().counters[Key{Engine: "spark", Cell: "figX/RowA/colA", Phase: "load", Name: "bytes_sent"}]; v != 150 {
 		t.Errorf("spark bytes_sent = %v, want 150 (counters accumulate)", v)
 	}
 }
@@ -64,23 +63,20 @@ func TestSpanArgLookup(t *testing.T) {
 	if s.Arg("x") != 1.5 || s.Arg("y") != -2 || s.Arg("missing") != 0 {
 		t.Errorf("Arg lookup wrong: %v %v %v", s.Arg("x"), s.Arg("y"), s.Arg("missing"))
 	}
-	if (Span{Start: 1, Dur: 2}).End() != 3 {
-		t.Error("End() wrong")
-	}
 }
 
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	m := NewMetrics()
 	m.Add(Key{Engine: "b", Cell: "c1", Phase: "p", Name: "n"}, 1)
 	m.Add(Key{Engine: "a", Cell: "c1", Phase: "p", Name: "n"}, 2)
-	m.Set(Key{Engine: "a", Cell: "c0", Phase: "p", Name: "g"}, 9)
+	m.Add(Key{Engine: "b", Cell: "c0", Phase: "p", Name: "n"}, 3)
 	s1 := m.Snapshot()
 	s2 := m.Snapshot()
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("Snapshot not deterministic")
 	}
-	// Counters sort before gauges; within counters, cell then engine.
-	if s1[0].Engine != "a" || s1[1].Engine != "b" || !s1[2].Gauge {
+	// Sorted by cell, then engine.
+	if s1[0].Cell != "c0" || s1[1].Engine != "a" || s1[2].Engine != "b" {
 		t.Errorf("snapshot order wrong: %+v", s1)
 	}
 }
@@ -94,10 +90,34 @@ func TestMetricsTotals(t *testing.T) {
 	if v := m.Total("bytes"); v != 17 {
 		t.Errorf("Total(bytes) = %v, want 17", v)
 	}
-	if v := m.CellTotal("c1", "bytes"); v != 15 {
-		t.Errorf("CellTotal(c1, bytes) = %v, want 15", v)
+	if v := m.Total("missing"); v != 0 {
+		t.Errorf("Total(missing) = %v, want 0", v)
 	}
-	if v := m.CellTotal("c1", "rows"); v != 0 {
-		t.Errorf("CellTotal(c1, rows) = %v, want 0", v)
+}
+
+// Render is the `mlbench run -metrics` output: one aligned counter line
+// per sample, in Snapshot order.
+func TestMetricsRenderFormat(t *testing.T) {
+	m := NewMetrics()
+	m.Add(Key{Engine: "spark", Cell: "fig1a/Spark/10d-5m", Phase: "load", Name: "bytes_sent"}, 150)
+	m.Add(Key{Engine: "giraph", Cell: "fig1a/Giraph/10d-5m", Phase: "superstep-0", Name: "messages"}, 12.5)
+	want := "counter fig1a/Giraph/10d-5m                          giraph     superstep-0/messages         12.5\n" +
+		"counter fig1a/Spark/10d-5m                           spark      load/bytes_sent              150\n"
+	if got := m.Render(); got != want {
+		t.Errorf("Render =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// A cell that recorded only events (say, a crash before its first
+// phase) is still a cell of the trace, listed after the span cells.
+func TestCellsIncludeEventOnlyCells(t *testing.T) {
+	r := NewRecorder()
+	r.BeginCell("b")
+	r.AddEvent("crash", KindFault, 0, 1)
+	r.BeginCell("a")
+	r.AddSpan("p", CatPhase, -1, 0, 1)
+	r.AddEvent("crash", KindFault, 1, 0.5)
+	if got := r.Cells(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("Cells() = %v, want [a b]", got)
 	}
 }

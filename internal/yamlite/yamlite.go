@@ -11,6 +11,7 @@ package yamlite
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -249,7 +250,10 @@ func yamlScalar(s string) any {
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return n
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	// ParseFloat also reads nan, inf and infinity in any case, which JSON
+	// cannot carry; such a token stays a string (YAML 1.2 spells those
+	// floats .nan and .inf), so the caller's parser reports it in context.
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 		return f
 	}
 	return s

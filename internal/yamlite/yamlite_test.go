@@ -55,6 +55,34 @@ blocks:
 	}
 }
 
+// strconv.ParseFloat accepts nan, inf and infinity, which JSON cannot
+// encode: such scalars must come through as strings, not as a marshal
+// error without a line number. The YAML 1.2 spellings and an overflowing
+// literal are not floats in this subset either.
+func TestToJSONNonFiniteScalarsStayStrings(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"name: nan", `{"name":"nan"}`},
+		{"name: Inf", `{"name":"Inf"}`},
+		{"rate: infinity", `{"rate":"infinity"}`},
+		{"- NaN", `["NaN"]`},
+		{"rate: -Inf", `{"rate":"-Inf"}`},
+		{"rate: .nan", `{"rate":".nan"}`},
+		{"rate: -.inf", `{"rate":"-.inf"}`},
+		{"rate: 1e400", `{"rate":"1e400"}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.in, func(t *testing.T) {
+			got, err := ToJSON([]byte(tc.in))
+			if err != nil {
+				t.Fatalf("ToJSON(%q): %v", tc.in, err)
+			}
+			if string(got) != tc.want {
+				t.Fatalf("ToJSON(%q) = %s, want %s", tc.in, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestToJSONErrors(t *testing.T) {
 	cases := []struct {
 		name, in, want string
