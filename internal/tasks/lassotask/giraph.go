@@ -128,9 +128,11 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	// dimensional vertices and moment contributions to the model vertex.
 	err := g.RunSuperstep(func(ctx *bsp.Context, v *bsp.Vertex, msgs []bsp.Msg) error {
 		m := ctx.Meter()
+		// The partial is fresh per vertex and nothing writes it after
+		// emit, so its Gram rows go out as views, not copies.
 		emit := func(part gramPartial) {
 			for j := 0; j < cfg.P; j++ {
-				ctx.Send(bsp.VertexID(j), &gramRowMsg{j: j, row: part.xtx.Row(j).Clone()}, rowBytes)
+				ctx.Send(bsp.VertexID(j), &gramRowMsg{j: j, row: part.xtx.Row(j)}, rowBytes)
 			}
 			ctx.Send(modelVID, &miscMsg{xty: part.xty, colSum: part.colSum, ySum: part.ySum, n: part.n}, rowBytes*2)
 		}
