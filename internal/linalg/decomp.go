@@ -43,19 +43,24 @@ func Cholesky(m *Mat) (*Mat, error) {
 }
 
 // SolveLower solves L*x = b for lower-triangular L by forward substitution.
-func SolveLower(l *Mat, b Vec) Vec {
+func SolveLower(l *Mat, b Vec) Vec { return SolveLowerTo(make(Vec, l.Rows), l, b) }
+
+// SolveLowerTo is SolveLower writing x into dst, which it returns. dst
+// may alias b: step i reads b[i] before it writes x[i], and reads only
+// the x[k] with k < i that earlier steps wrote.
+func SolveLowerTo(dst Vec, l *Mat, b Vec) Vec {
 	n := l.Rows
 	checkLen(n, len(b))
-	x := make(Vec, n)
+	checkLen(n, len(dst))
 	for i := 0; i < n; i++ {
 		s := b[i]
 		row := l.Data[i*n : i*n+i]
 		for k, v := range row {
-			s -= v * x[k]
+			s -= v * dst[k]
 		}
-		x[i] = s / l.Data[i*n+i]
+		dst[i] = s / l.Data[i*n+i]
 	}
-	return x
+	return dst
 }
 
 // SolveUpperT solves L^T*x = b for lower-triangular L (so L^T is upper

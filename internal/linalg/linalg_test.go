@@ -372,6 +372,13 @@ func TestSolveLower(t *testing.T) {
 			t.Fatalf("SolveLower = %v, want %v", got, want)
 		}
 	}
+	// Solving in place over b gives the same bits.
+	SolveLowerTo(b, l, b)
+	for i := range got {
+		if math.Float64bits(b[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("SolveLowerTo in place = %v, want %v", b, got)
+		}
+	}
 }
 
 // SolveUpperT solves against the transpose of the lower factor without

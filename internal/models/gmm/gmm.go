@@ -57,10 +57,11 @@ type Params struct {
 	Mu    []linalg.Vec
 	Sigma []*linalg.Mat
 
-	// Cached per-cluster Cholesky factors and log-determinants of Sigma,
-	// refreshed by Prepare.
-	chol   []*linalg.Mat
-	logDet []float64
+	// Per-cluster caches refreshed by Prepare: the Cholesky factor of
+	// Sigma, log pi_k, and the density's constant D log 2pi + log|Sigma|.
+	chol  []*linalg.Mat
+	logPi []float64
+	norm  []float64
 }
 
 // Bytes returns the simulated size of the model state: the "50KB copy of
@@ -97,43 +98,62 @@ func Init(rng *randgen.RNG, h Hyper) (*Params, error) {
 	return p, nil
 }
 
-// Prepare refreshes the cached Cholesky factors after Mu/Sigma change.
+// Prepare refreshes the per-cluster caches the densities read: the
+// Cholesky factor of each Sigma_k, log pi_k, and D log 2pi + log|Sigma_k|.
+// It must run after any change to Mu, Sigma or Pi: a Pi replaced without
+// it leaves memberships drawn with the old mixing proportions.
 func (p *Params) Prepare() error {
 	p.chol = make([]*linalg.Mat, p.K)
-	p.logDet = make([]float64, p.K)
+	p.logPi = make([]float64, p.K)
+	p.norm = make([]float64, p.K)
 	for k := 0; k < p.K; k++ {
 		l, err := linalg.Cholesky(p.Sigma[k])
 		if err != nil {
 			return fmt.Errorf("gmm: covariance %d not positive definite: %w", k, err)
 		}
 		p.chol[k] = l
-		p.logDet[k] = linalg.CholLogDet(l)
+		p.logPi[k] = math.Log(p.Pi[k])
+		p.norm[k] = float64(p.D)*math.Log(2*math.Pi) + linalg.CholLogDet(l)
 	}
 	return nil
 }
 
+// logDensity returns log N(x | mu_k, Sigma_k), using sol (length D) as
+// the scratch for the whitened residual L_k^{-1} (x - mu_k).
+func (p *Params) logDensity(k int, x, sol linalg.Vec) float64 {
+	mu := p.Mu[k]
+	for i := range sol {
+		sol[i] = x[i] - mu[i]
+	}
+	linalg.SolveLowerTo(sol, p.chol[k], sol)
+	return -0.5 * (p.norm[k] + sol.Dot(sol))
+}
+
 // LogDensity returns log N(x | mu_k, Sigma_k). Prepare must have run.
 func (p *Params) LogDensity(k int, x linalg.Vec) float64 {
-	diff := x.Sub(p.Mu[k])
-	sol := linalg.SolveLower(p.chol[k], diff)
-	quad := sol.Dot(sol)
-	return -0.5 * (float64(p.D)*math.Log(2*math.Pi) + p.logDet[k] + quad)
+	return p.logDensity(k, x, make(linalg.Vec, p.D))
 }
 
 // SampleMembership draws the cluster assignment for x given the current
 // parameters: c_j ~ Multinomial(p_j, 1) with p_jk ∝ pi_k N(x|mu_k,Sigma_k).
+// The K weights and the D-vector scratch live on the stack whenever
+// K+D <= 128, so a draw allocates nothing.
 func (p *Params) SampleMembership(rng *randgen.RNG, x linalg.Vec) int {
-	logs := make([]float64, p.K)
+	var buf [128]float64
+	scratch := buf[:]
+	if p.K+p.D > len(buf) {
+		scratch = make([]float64, p.K+p.D)
+	}
+	w, sol := scratch[:p.K], linalg.Vec(scratch[p.K:p.K+p.D])
 	max := math.Inf(-1)
-	for k := 0; k < p.K; k++ {
-		logs[k] = math.Log(p.Pi[k]) + p.LogDensity(k, x)
-		if logs[k] > max {
-			max = logs[k]
+	for k := range w {
+		w[k] = p.logPi[k] + p.logDensity(k, x, sol)
+		if w[k] > max {
+			max = w[k]
 		}
 	}
-	w := make([]float64, p.K)
 	for k := range w {
-		w[k] = math.Exp(logs[k] - max)
+		w[k] = math.Exp(w[k] - max)
 	}
 	return rng.Categorical(w)
 }
@@ -245,11 +265,12 @@ func UpdateFlops(k, d int) float64 { return float64(k) * 6 * float64(d*d*d) }
 // parameters (for convergence diagnostics in tests).
 func (p *Params) LogLikelihood(xs []linalg.Vec) float64 {
 	var total float64
+	logs := make([]float64, p.K)
+	sol := make(linalg.Vec, p.D)
 	for _, x := range xs {
 		max := math.Inf(-1)
-		logs := make([]float64, p.K)
 		for k := 0; k < p.K; k++ {
-			logs[k] = math.Log(p.Pi[k]) + p.LogDensity(k, x)
+			logs[k] = p.logPi[k] + p.logDensity(k, x, sol)
 			if logs[k] > max {
 				max = logs[k]
 			}

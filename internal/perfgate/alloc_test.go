@@ -3,8 +3,11 @@ package perfgate
 import (
 	"testing"
 
+	"mlbench/internal/linalg"
+	"mlbench/internal/models/gmm"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
+	"mlbench/internal/workload"
 )
 
 // Absolute allocs/op ceilings for the streamed-partition substrate.
@@ -83,5 +86,42 @@ func TestGramFoldAllocCeiling(t *testing.T) {
 	spec := gramFoldSpec()
 	if a := testing.AllocsPerRun(5, func() { _ = spec.Run(100) }); a != 0 {
 		t.Errorf("folding 100 observations cost %.0f allocs, ceiling 0", a)
+	}
+}
+
+// A GMM membership draw runs once per point per iteration: at the
+// widest shape any figure uses (K=10, D=100) it must not allocate.
+func TestGMMMembershipAllocCeiling(t *testing.T) {
+	const k, d = 10, 100
+	rng := randgen.New(5)
+	variance := make(linalg.Vec, d)
+	for i := range variance {
+		variance[i] = 1
+	}
+	p, err := gmm.Init(rng, gmm.HyperFromMoments(k, make(linalg.Vec, d), variance))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := p.Mu[3].Clone()
+	if a := testing.AllocsPerRun(20, func() { Sink += float64(p.SampleMembership(rng, x)) }); a != 0 {
+		t.Errorf("one membership draw at K=%d D=%d cost %.0f allocs, ceiling 0", k, d, a)
+	}
+}
+
+// Streaming GMM points carves them from growing slabs: a 4,096-point
+// pass is about 21 slabs plus the generator and cursor, not one
+// allocation per point.
+func TestGMMStreamAllocCeiling(t *testing.T) {
+	const n = 4096
+	mu := workload.PlantedMeans(randgen.New(9), 4, 10, 8)
+	src := sim.NewSource(n, 0, func() func() linalg.Vec {
+		return workload.OpenGMMAt(randgen.New(11), mu)
+	})
+	src.Each(func(linalg.Vec) {}) // warm the chunk pool
+	perPass := testing.AllocsPerRun(5, func() {
+		src.Each(func(x linalg.Vec) { Sink += x[0] })
+	})
+	if perPass > 64 {
+		t.Errorf("streaming %d GMM points cost %.0f allocs, ceiling 64: points are being allocated one by one", n, perPass)
 	}
 }

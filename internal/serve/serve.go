@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -481,7 +482,7 @@ func (s *Server) runJob(j *Job) {
 	s.logf("serve: %s running", j.ID)
 
 	progress := s.progressSink(j)
-	out, err := s.cfg.Runner(ctx, j.Spec, progress)
+	out, err := s.callRunner(ctx, j, progress)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -495,6 +496,19 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.finishLocked(j, StateFailed, nil, err.Error())
 	}
+}
+
+// callRunner runs the job's spec, turning a Runner panic into the job's
+// error: one bad run fails its job, and the worker and the daemon keep
+// serving.
+func (s *Server) callRunner(ctx context.Context, j *Job, progress func(core.ProgressEvent)) (out *RunOutput, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.logf("serve: %s panicked: %v\n%s", j.ID, r, debug.Stack())
+			out, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return s.cfg.Runner(ctx, j.Spec, progress)
 }
 
 // progressSink wraps the job's SSE fan-out with wall-clock throttling:

@@ -353,6 +353,38 @@ func TestFailedRunNotCached(t *testing.T) {
 	waitState(t, s, m2["id"].(string), StateDone)
 }
 
+// A panicking Runner fails its job instead of killing the daemon: the
+// job ends failed with the panic value, the worker is freed, the next
+// job completes on it, and the counters still balance.
+func TestRunnerPanicFailsJob(t *testing.T) {
+	stub := &stubRunner{}
+	runner := func(ctx context.Context, spec core.RunSpec, progress func(core.ProgressEvent)) (*RunOutput, error) {
+		if spec.Figure == "fig1a" {
+			panic("runner exploded")
+		}
+		return stub.run(ctx, spec, progress)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+
+	_, m1 := postSpec(t, ts, `{"figure":"fig1a"}`)
+	id1 := m1["id"].(string)
+	waitState(t, s, id1, StateFailed)
+	if st := s.status(s.Job(id1)); st.Error != "panic: runner exploded" {
+		t.Fatalf("error = %q, want %q", st.Error, "panic: runner exploded")
+	}
+
+	_, m2 := postSpec(t, ts, `{"figure":"fig1b"}`)
+	waitState(t, s, m2["id"].(string), StateDone)
+
+	m := s.Metrics()
+	if m.Running != 0 || m.Failed != 1 || m.Completed != 1 {
+		t.Fatalf("running/failed/completed = %d/%d/%d, want 0/1/1", m.Running, m.Failed, m.Completed)
+	}
+	if m.Submitted != m.Completed+m.Failed+m.Canceled {
+		t.Fatalf("submitted %d != completed %d + failed %d + canceled %d", m.Submitted, m.Completed, m.Failed, m.Canceled)
+	}
+}
+
 func TestDrain(t *testing.T) {
 	stub := &stubRunner{}
 	s := New(Config{Workers: 1, Runner: stub.run})

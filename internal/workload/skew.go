@@ -183,21 +183,10 @@ func NewPlantedMixture(rng *randgen.RNG, cfg SkewedGMMConfig) *PlantedMixture {
 	return m
 }
 
-// GenGMMSkewedAt samples n points from the planted mixture.
+// GenGMMSkewedAt samples n points from the planted mixture: the first n
+// points of OpenGMMSkewedAt's stream, with their planted labels.
 func GenGMMSkewedAt(rng *randgen.RNG, m *PlantedMixture, n int) *GMMData {
-	out := &GMMData{Mu: m.Mu}
-	comp := randgen.NewAlias(m.Weight)
-	d := len(m.Mu[0])
-	for i := 0; i < n; i++ {
-		k := comp.Draw(rng)
-		x := make(linalg.Vec, d)
-		for j := 0; j < d; j++ {
-			x[j] = rng.Normal(m.Mu[k][j], m.Sigma[k][j])
-		}
-		out.Points = append(out.Points, x)
-		out.Labels = append(out.Labels, k)
-	}
-	return out
+	return collectGMM(openSkewedGMM(rng, m), m.Mu, n)
 }
 
 // GenGMMSkewed plants a skewed mixture and samples N points from it.

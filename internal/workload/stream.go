@@ -11,38 +11,78 @@ import (
 // Open* function returns a sequential generator that replays the exact
 // random-draw pattern of the corresponding materialized generator, so a
 // chunked consumer sees byte-for-byte the element stream the historical
-// slice held. The corpus and regression materialized generators
-// delegate to these; the GMM ones stay inline because they also carry
-// the planted labels, but consume randomness identically.
+// slice held. The materialized generators are loops over these.
 
 // OpenGMMAt returns a sequential point generator over the uniform
 // unit-covariance mixture with the given means: per point, one
 // component draw then D Normal draws, exactly as GenGMMAt consumes
 // randomness.
 func OpenGMMAt(rng *randgen.RNG, mu []linalg.Vec) func() linalg.Vec {
-	d := len(mu[0])
-	return func() linalg.Vec {
-		k := rng.Intn(len(mu))
-		x := make(linalg.Vec, d)
-		for j := 0; j < d; j++ {
-			x[j] = rng.Normal(mu[k][j], 1)
-		}
-		return x
-	}
+	return unlabelled(openUniformGMM(rng, mu))
 }
 
 // OpenGMMSkewedAt returns a sequential point generator over a planted
 // skewed mixture, replaying GenGMMSkewedAt's draw pattern (alias
 // component draw, then D Normal draws).
 func OpenGMMSkewedAt(rng *randgen.RNG, m *PlantedMixture) func() linalg.Vec {
-	comp := randgen.NewAlias(m.Weight)
-	d := len(m.Mu[0])
-	return func() linalg.Vec {
-		k := comp.Draw(rng)
-		x := make(linalg.Vec, d)
-		for j := 0; j < d; j++ {
-			x[j] = rng.Normal(m.Mu[k][j], m.Sigma[k][j])
+	return unlabelled(openSkewedGMM(rng, m))
+}
+
+// openUniformGMM is OpenGMMAt's generator with each point's planted
+// label.
+func openUniformGMM(rng *randgen.RNG, mu []linalg.Vec) func() (int, linalg.Vec) {
+	ones := make(linalg.Vec, len(mu[0]))
+	for j := range ones {
+		ones[j] = 1
+	}
+	sd := make([]linalg.Vec, len(mu))
+	for k := range sd {
+		sd[k] = ones
+	}
+	return openMixture(rng, mu, sd, nil)
+}
+
+// openSkewedGMM is OpenGMMSkewedAt's generator with each point's
+// planted label.
+func openSkewedGMM(rng *randgen.RNG, m *PlantedMixture) func() (int, linalg.Vec) {
+	return openMixture(rng, m.Mu, m.Sigma, randgen.NewAlias(m.Weight))
+}
+
+// openMixture draws a component — from comp, or uniformly when comp is
+// nil — then x_j ~ Normal(mu[k][j], sd[k][j]) for each dimension. Points
+// are carved from slabs that grow 4, 8, ... up to 256 points, so a
+// stream does not allocate per point and a short one does not
+// over-allocate. A slab is never reused, so a consumer may keep any
+// point.
+func openMixture(rng *randgen.RNG, mu, sd []linalg.Vec, comp *randgen.Alias) func() (int, linalg.Vec) {
+	d := len(mu[0])
+	var slab linalg.Vec
+	slabPoints := 4
+	return func() (int, linalg.Vec) {
+		var k int
+		if comp != nil {
+			k = comp.Draw(rng)
+		} else {
+			k = rng.Intn(len(mu))
 		}
+		if len(slab) < d {
+			slab = make(linalg.Vec, slabPoints*d)
+			slabPoints = min(2*slabPoints, 256)
+		}
+		x := slab[:d:d]
+		slab = slab[d:]
+		mk, sk := mu[k], sd[k]
+		for j := range x {
+			x[j] = rng.Normal(mk[j], sk[j])
+		}
+		return k, x
+	}
+}
+
+// unlabelled drops the labels from a labelled point generator.
+func unlabelled(next func() (int, linalg.Vec)) func() linalg.Vec {
+	return func() linalg.Vec {
+		_, x := next()
 		return x
 	}
 }

@@ -56,16 +56,17 @@ func PlantedMeans(rng *randgen.RNG, k, d int, separation float64) []linalg.Vec {
 }
 
 // GenGMMAt samples n points from the uniform unit-covariance mixture with
-// the given means.
+// the given means: the first n points of OpenGMMAt's stream, with their
+// planted labels.
 func GenGMMAt(rng *randgen.RNG, mu []linalg.Vec, n int) *GMMData {
+	return collectGMM(openUniformGMM(rng, mu), mu, n)
+}
+
+// collectGMM materializes the first n points of a labelled stream.
+func collectGMM(next func() (int, linalg.Vec), mu []linalg.Vec, n int) *GMMData {
 	out := &GMMData{Mu: mu}
-	d := len(mu[0])
 	for i := 0; i < n; i++ {
-		k := rng.Intn(len(mu))
-		x := make(linalg.Vec, d)
-		for j := 0; j < d; j++ {
-			x[j] = rng.Normal(mu[k][j], 1)
-		}
+		k, x := next()
 		out.Points = append(out.Points, x)
 		out.Labels = append(out.Labels, k)
 	}
