@@ -19,6 +19,13 @@ type stat struct {
 	sq  *linalg.Mat
 }
 
+// pointStat is one point's statistic (1, x, x x^T).
+func pointStat(x linalg.Vec) stat {
+	sq := linalg.NewMat(len(x), len(x))
+	sq.AddOuter(1, x, x)
+	return stat{n: 1, sum: x.Clone(), sq: sq}
+}
+
 func addStat(a, b stat) stat {
 	a.n += b.n
 	b.sum.AddTo(a.sum)
@@ -108,15 +115,15 @@ func RunSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Result, e
 
 	sBytes := statBytes(cfg.D) + 32
 	sizer := func(dataflow.Pair[int, stat]) int64 { return sBytes }
-	samplePoint := func(m *sim.Meter, x linalg.Vec) dataflow.Pair[int, stat] {
+	sample := func(m *sim.Meter, x linalg.Vec) int {
 		// One library call per mixture component (the density
 		// evaluations), plus the outer product.
 		m.ChargeLinalg(cfg.K, gmm.MembershipFlops(cfg.K, cfg.D)/float64(cfg.K), cfg.D)
 		m.ChargeLinalg(1, float64(cfg.D*cfg.D), cfg.D)
-		k := params.SampleMembership(m.RNG(), x)
-		sq := linalg.NewMat(cfg.D, cfg.D)
-		sq.AddOuter(1, x, x)
-		return dataflow.Pair[int, stat]{K: k, V: stat{n: 1, sum: x.Clone(), sq: sq}}
+		return params.SampleMembership(m.RNG(), x)
+	}
+	samplePoint := func(m *sim.Meter, x linalg.Vec) dataflow.Pair[int, stat] {
+		return dataflow.Pair[int, stat]{K: sample(m, x), V: pointStat(x)}
 	}
 	combine := func(m *sim.Meter, a, b stat) stat {
 		m.ChargeLinalg(1, float64(cfg.D*cfg.D+cfg.D), cfg.D)
@@ -137,12 +144,17 @@ func RunSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Result, e
 			mapped = dataflow.MapPartitions(data, sizer, func(m *sim.Meter, part []linalg.Vec) []dataflow.Pair[int, stat] {
 				local := make([]*stat, cfg.K)
 				for _, x := range part {
-					kv := samplePoint(m, x)
-					if local[kv.K] == nil {
-						s := kv.V
-						local[kv.K] = &s
+					k := sample(m, x)
+					if s := local[k]; s != nil {
+						// addStat with x's own statistic, folded in place:
+						// the same additions, as a running x x^T sum is
+						// never -0 (adding 0 or -0 leaves it unchanged).
+						s.n++
+						x.AddTo(s.sum)
+						s.sq.AddOuter(1, x, x)
 					} else {
-						*local[kv.K] = addStat(*local[kv.K], kv.V)
+						s := pointStat(x)
+						local[k] = &s
 					}
 				}
 				var out []dataflow.Pair[int, stat]
