@@ -65,18 +65,23 @@ func SolveLowerTo(dst Vec, l *Mat, b Vec) Vec {
 
 // SolveUpperT solves L^T*x = b for lower-triangular L (so L^T is upper
 // triangular) by back substitution.
-func SolveUpperT(l *Mat, b Vec) Vec {
+func SolveUpperT(l *Mat, b Vec) Vec { return SolveUpperTTo(make(Vec, l.Rows), l, b) }
+
+// SolveUpperTTo is SolveUpperT writing x into dst, which it returns. dst
+// may alias b: step i reads b[i] before it writes x[i], and reads only
+// the x[k] with k > i that earlier steps wrote.
+func SolveUpperTTo(dst Vec, l *Mat, b Vec) Vec {
 	n := l.Rows
 	checkLen(n, len(b))
-	x := make(Vec, n)
+	checkLen(n, len(dst))
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.Data[k*n+i] * x[k]
+			s -= l.Data[k*n+i] * dst[k]
 		}
-		x[i] = s / l.Data[i*n+i]
+		dst[i] = s / l.Data[i*n+i]
 	}
-	return x
+	return dst
 }
 
 // CholSolve solves m*x = b given the Cholesky factor L of m.

@@ -389,10 +389,18 @@ func TestSolveUpperT(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Vec{0.25, 4, -1, 2, -3}
-	got := SolveUpperT(l, l.T().MulVec(want))
+	b := l.T().MulVec(want)
+	got := SolveUpperT(l, b)
 	for i := range want {
 		if !almostEq(got[i], want[i], 1e-10) {
 			t.Fatalf("SolveUpperT = %v, want %v", got, want)
+		}
+	}
+	// Solving in place over b gives the same bits.
+	SolveUpperTTo(b, l, b)
+	for i := range got {
+		if math.Float64bits(b[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("SolveUpperTTo in place = %v, want %v", b, got)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mlbench/internal/linalg"
 	"mlbench/internal/models/gmm"
+	"mlbench/internal/models/impute"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
 	"mlbench/internal/workload"
@@ -105,6 +106,49 @@ func TestGMMMembershipAllocCeiling(t *testing.T) {
 	x := p.Mu[3].Clone()
 	if a := testing.AllocsPerRun(20, func() { Sink += float64(p.SampleMembership(rng, x)) }); a != 0 {
 		t.Errorf("one membership draw at K=%d D=%d cost %.0f allocs, ceiling 0", k, d, a)
+	}
+}
+
+// An imputation update runs once per point per iteration. With its
+// mask already in the plan it factors nothing: at Figure 5's shape
+// (K=10, D=10) it may allocate at most 8 times, the mask key and the
+// conditional draw; factoring the blocks per point costs about 80.
+func TestImputeUpdateAllocCeiling(t *testing.T) {
+	const k, d, n = 10, 10, 64
+	rng := randgen.New(6)
+	variance := make(linalg.Vec, d)
+	for i := range variance {
+		variance[i] = 1
+	}
+	p, err := gmm.Init(rng, gmm.HyperFromMoments(k, make(linalg.Vec, d), variance))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := impute.NewPlan(p.Pi, p.Mu, p.Sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, masks := make([]linalg.Vec, n), make([][]bool, n)
+	for i := range xs {
+		xs[i], masks[i] = p.Mu[i%k].Clone(), make([]bool, d)
+		for j := range masks[i] {
+			masks[i][j] = rng.Float64() < 0.5
+		}
+	}
+	c := 0
+	pass := func() {
+		for i, x := range xs {
+			if err := plan.Impute(rng, x, masks[i], &c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm every (mask, cluster) entry the points can draw.
+	for i := 0; i < 50; i++ {
+		pass()
+	}
+	if a := testing.AllocsPerRun(20, pass) / n; a > 8 {
+		t.Errorf("one imputation update with a warm plan at K=%d D=%d cost %.1f allocs, ceiling 8: the plan is not being reused", k, d, a)
 	}
 }
 

@@ -43,11 +43,11 @@ func (e *impEdges) Neighbors(v gas.VertexID) []gas.VertexID {
 }
 
 type impState struct {
-	cfg    Config
-	h      gmm.Hyper
-	params *gmm.Params
-	stats  *gmm.Stats
-	scale  float64
+	cfg   Config
+	h     gmm.Hyper
+	mod   *model
+	stats *gmm.Stats
+	scale float64
 }
 
 type impGather struct {
@@ -113,7 +113,7 @@ func (p *impProg) Apply(m *sim.Meter, v *gas.Vertex, acc any) {
 		m.ChargeLinalg((cfg.K+2)*len(d.pts), pointWorkFlops(cfg.K, cfg.D)/float64(cfg.K+2), cfg.D)
 		d.stats = gmm.NewStats(cfg.K, cfg.D)
 		for _, pt := range d.pts {
-			_ = imputePoint(m.RNG(), p.st.params, pt)
+			p.st.mod.imputePoint(m.RNG(), pt)
 			d.stats.Add(pt.c, pt.x, 1)
 		}
 	case *impClusVtx:
@@ -186,7 +186,7 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		m.SetProfile(sim.ProfileCPP)
 		m.ChargeLinalgAbs(cfg.K, gmm.UpdateFlops(1, cfg.D), cfg.D)
 		var e error
-		st.params, e = gmm.Init(rng, st.h)
+		st.mod, e = newModel(rng, st.h)
 		return e
 	}); err != nil {
 		return res, err
@@ -207,12 +207,13 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		if err := cl.RunDriver("impute-gl-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)
-			return gmm.UpdateParams(rng, st.h, st.params, stats)
+			return st.mod.update(rng, st.h, stats)
 		}); err != nil {
 			return res, err
 		}
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 	}
+	st.mod.noteFailures(res)
 	recordQuality(machine0, res)
 	return res, nil
 }
@@ -281,12 +282,12 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	}
 
 	h := hyperFrom(allPts, cfg)
-	var params *gmm.Params
+	var mod *model
 	if err := cl.RunDriver("impute-giraph-init", func(m *sim.Meter) error {
 		m.SetProfile(sim.ProfileJava)
 		m.ChargeLinalgAbs(cfg.K, gmm.UpdateFlops(1, cfg.D), cfg.D)
 		var e error
-		params, e = gmm.Init(rng, h)
+		mod, e = newModel(rng, h)
 		return e
 	}); err != nil {
 		return res, err
@@ -316,7 +317,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			m := ctx.Meter()
 			if d, ok := v.Data.(*impPtVtx); ok {
 				m.ChargeLinalg(cfg.K+2, pointWorkFlops(cfg.K, cfg.D)/float64(cfg.K+2), cfg.D)
-				_ = imputePoint(m.RNG(), params, d.p)
+				mod.imputePoint(m.RNG(), d.p)
 				sq := linalg.NewMat(cfg.D, cfg.D)
 				sq.AddOuter(1, d.p.x, d.p.x)
 				ctx.Send(bsp.VertexID(d.p.c), &impStatMsg{n: 1, sum: d.p.x.Clone(), sq: sq}, sBytes)
@@ -346,12 +347,13 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		if err := cl.RunDriver("impute-giraph-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileJava)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)
-			return gmm.UpdateParams(rng, h, params, gathered)
+			return mod.update(rng, h, gathered)
 		}); err != nil {
 			return res, err
 		}
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 	}
+	mod.noteFailures(res)
 	recordQuality(machine0, res)
 	return res, nil
 }

@@ -1,8 +1,12 @@
 package imputetask
 
 import (
+	"strings"
 	"testing"
 
+	"mlbench/internal/linalg"
+	"mlbench/internal/models/gmm"
+	"mlbench/internal/models/impute"
 	"mlbench/internal/sim"
 	"mlbench/internal/tasks/task"
 )
@@ -115,5 +119,40 @@ func TestSparkSlowerThanItsGMM(t *testing.T) {
 	if !(spark.AvgIterSec() > gl.AvgIterSec() && spark.AvgIterSec() > gir.AvgIterSec()) {
 		t.Errorf("Spark (%v) should be slower than GraphLab (%v) and Giraph (%v)",
 			spark.AvgIterSec(), gl.AvgIterSec(), gir.AvgIterSec())
+	}
+}
+
+// A point whose covariance block is not positive definite keeps its
+// values; every engine must count such updates and say so in a note.
+func TestFailedUpdatesAreNoted(t *testing.T) {
+	orig := planFor
+	t.Cleanup(func() { planFor = orig })
+	planFor = func(p *gmm.Params) (*impute.Plan, error) {
+		sigma := append([]*linalg.Mat(nil), p.Sigma...)
+		sigma[0] = linalg.Eye(p.D).ScaleInPlace(-1)
+		return impute.NewPlan(p.Pi, p.Mu, sigma)
+	}
+	cfg := Config{K: 3, D: 6, PointsPerMachine: 270_000, Iterations: 2, Seed: 77, SVPerMachine: 4}
+	ports := []struct {
+		name string
+		run  func(*sim.Cluster, Config) (*task.Result, error)
+	}{
+		{"giraph", RunGiraph},
+		{"graphlab", RunGraphLab},
+		{"spark", RunSpark},
+		{"simsql", RunSimSQL},
+	}
+	for _, p := range ports {
+		res, err := p.run(smallCluster(2), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		noted := false
+		for _, n := range res.Notes {
+			noted = noted || strings.Contains(n, "imputation updates failed")
+		}
+		if !noted {
+			t.Errorf("%s: no note of the failed updates in %q", p.name, res.Notes)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // emitting the updated per-dimension rows.
 type imputeVG struct {
 	cfg    Config
-	params *gmm.Params
+	mod    *model
 	points []*point // indexed by data_id
 }
 
@@ -31,7 +31,7 @@ func (v *imputeVG) Apply(m relational.VGMeter, rows []relational.Tuple) []relati
 	id := rows[0].Int(0)
 	p := v.points[id]
 	m.ChargeOps(v.cfg.K+2, pointWorkFlops(v.cfg.K, v.cfg.D)/float64(v.cfg.K+2), v.cfg.D)
-	_ = imputePoint(m.RNG(), v.params, p)
+	v.mod.imputePoint(m.RNG(), p)
 	out := make([]relational.Tuple, v.cfg.D)
 	for d := 0; d < v.cfg.D; d++ {
 		out[d] = relational.T(float64(id), float64(d), p.x[d], float64(p.c))
@@ -79,7 +79,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 
 	h := hyperFrom(allPoints, cfg)
 	rng := randgen.New(cfg.Seed ^ 0x17a2)
-	var params *gmm.Params
+	var mod *model
 	// Hyperparameter aggregation plus the three init random tables.
 	cl.Advance(4 * cost.MRJobLaunch)
 	if err := cl.RunPhaseF("impute-hyper", func(machine int, m *sim.Meter) error {
@@ -93,7 +93,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		m.SetProfile(sim.ProfileCPP)
 		m.ChargeLinalgAbs(cfg.K, gmm.UpdateFlops(1, cfg.D), cfg.D)
 		var e error
-		params, e = gmm.Init(rng, h)
+		mod, e = newModel(rng, h)
 		return e
 	}); err != nil {
 		return res, err
@@ -101,11 +101,11 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	res.InitSec = sw.Lap()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := replicateModel(cl, params.Bytes()); err != nil {
+		if err := replicateModel(cl, mod.params.Bytes()); err != nil {
 			return res, err
 		}
 		// Extra step: the imputation VG rewrites the data relation.
-		vg := &imputeVG{cfg: cfg, params: params, points: allPoints}
+		vg := &imputeVG{cfg: cfg, mod: mod, points: allPoints}
 		newData, err := eng.Run("data", relational.VGApplyP(vg, 0, relational.ScanT(dataT), false))
 		if err != nil {
 			return res, fmt.Errorf("impute simsql iter %d: impute: %w", iter, err)
@@ -149,13 +149,14 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		if err := cl.RunDriver("impute-model-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)
-			return gmm.UpdateParams(rng, h, params, stats)
+			return mod.update(rng, h, stats)
 		}); err != nil {
 			return res, err
 		}
 		dataT = newData
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 	}
+	mod.noteFailures(res)
 	recordQuality(allPoints[:machine0Count], res)
 	return res, nil
 }

@@ -68,12 +68,12 @@ func RunSpark(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	h := hyperFrom(hAgg.pts, cfg)
 
 	rng := randgen.New(cfg.Seed ^ 0x17a1)
-	var params *gmm.Params
+	var mod *model
 	err = cl.RunDriver("impute-init", func(m *sim.Meter) error {
 		m.SetProfile(profile)
 		m.ChargeLinalgAbs(cfg.K, gmm.UpdateFlops(1, cfg.D), cfg.D)
 		var e error
-		params, e = gmm.Init(rng, h)
+		mod, e = newModel(rng, h)
 		return e
 	})
 	if err != nil {
@@ -84,14 +84,14 @@ func RunSpark(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	sBytes := statBytes(cfg.D) + 32
 	statSizer := func(dataflow.Pair[int, stat]) int64 { return sBytes }
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := ctx.Broadcast(params.Bytes(), "impute model"); err != nil {
+		if err := ctx.Broadcast(mod.params.Bytes(), "impute model"); err != nil {
 			return res, err
 		}
 		// Job 1: the imputation pass rewrites the data — a fresh cached
 		// RDD, with the old one resident until it materializes.
 		next := dataflow.Map(data, sizer, func(m *sim.Meter, p *point) *point {
 			m.ChargeLinalg(cfg.K+2, pointWorkFlops(cfg.K, cfg.D)/float64(cfg.K+2), cfg.D)
-			_ = imputePoint(m.RNG(), params, p)
+			mod.imputePoint(m.RNG(), p)
 			return p
 		}).SetName("data").Cache()
 		if _, err := dataflow.Count(next); err != nil {
@@ -128,15 +128,16 @@ func RunSpark(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				stats.SumSq[p.K].AddInPlace(p.V.sq)
 			}
 			scaleStats(stats, cl.Scale())
-			return gmm.UpdateParams(rng, h, params, stats)
+			return mod.update(rng, h, stats)
 		})
 		if err != nil {
 			return res, err
 		}
-		ctx.ReleaseBroadcast(params.Bytes())
+		ctx.ReleaseBroadcast(mod.params.Bytes())
 		res.IterSecs = append(res.IterSecs, sw.Lap())
 	}
 
+	mod.noteFailures(res)
 	recordQuality(machinePts[0], res)
 	return res, nil
 }
