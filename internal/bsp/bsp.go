@@ -21,6 +21,8 @@ package bsp
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"mlbench/internal/ordmap"
 	"mlbench/internal/sim"
@@ -40,6 +42,9 @@ type Vertex struct {
 	// Scaled marks data-proportional vertices.
 	Scaled  bool
 	machine int
+	// slot is the vertex's insertion index, its row in the graph's
+	// per-vertex queue arrays.
+	slot int32
 }
 
 // Machine returns the machine hosting the vertex.
@@ -60,24 +65,27 @@ type Combiner func(a, b Msg) Msg
 // superstep i+1.
 type Compute func(ctx *Context, v *Vertex, msgs []Msg) error
 
-// pending is a queued message with its simulated multiplicity applied.
-type pending struct {
-	msg      Msg
-	simBytes float64
-	src      int // source machine
-}
-
 // Graph is a BSP graph bound to a cluster.
 type Graph struct {
 	c        *sim.Cluster
-	verts    *ordmap.Map[VertexID, *Vertex]
+	verts    map[VertexID]*Vertex
 	byMach   [][]*Vertex
 	combiner Combiner
 	loaded   bool
 	step     int
 
-	// queue[dst vertex] = messages to deliver next superstep.
-	queue *ordmap.Map[VertexID, []pending]
+	// stages[machine] buffers the machine's sends of the running
+	// superstep; the buffers are reused across supersteps.
+	stages []stage
+	// The queue of messages to deliver next superstep, flat: destination
+	// v's messages and their simulated sizes are qMsg and qSim at
+	// [qStart[v.slot], qStart[v.slot]+qLen[v.slot]), in machine order.
+	// qOrder lists the destinations in first-queued order. qStart and
+	// qLen are indexed by slot and reused across supersteps.
+	qOrder       []*Vertex
+	qStart, qLen []int32
+	qMsg         []Msg
+	qSim         []float64
 	// aggregates from the previous superstep (master-merged sums).
 	aggPrev map[string]float64
 	aggCur  map[string]float64
@@ -103,9 +111,9 @@ type Graph struct {
 func NewGraph(c *sim.Cluster) *Graph {
 	g := &Graph{
 		c:           c,
-		verts:       ordmap.New[VertexID, *Vertex](),
+		verts:       map[VertexID]*Vertex{},
 		byMach:      make([][]*Vertex, c.NumMachines()),
-		queue:       ordmap.New[VertexID, []pending](),
+		stages:      make([]stage, c.NumMachines()),
 		aggPrev:     map[string]float64{},
 		aggCur:      map[string]float64{},
 		shared:      map[string]any{},
@@ -121,24 +129,25 @@ func NewGraph(c *sim.Cluster) *Graph {
 func (g *Graph) SetCombiner(c Combiner) { g.combiner = c }
 
 // AddVertex inserts a vertex, placed by id hash unless machine >= 0.
+// Each id may be added once.
 func (g *Graph) AddVertex(id VertexID, data any, bytes int64, scaled bool, machine int) *Vertex {
 	if g.loaded {
 		panic("bsp: AddVertex after Load")
 	}
+	if _, dup := g.verts[id]; dup {
+		panic(fmt.Sprintf("bsp: AddVertex of existing vertex %d", id))
+	}
 	if machine < 0 {
 		machine = int(uint64(id*2654435761) % uint64(len(g.byMach)))
 	}
-	v := &Vertex{ID: id, Data: data, Bytes: bytes, Scaled: scaled, machine: machine}
-	g.verts.Set(id, v)
+	v := &Vertex{ID: id, Data: data, Bytes: bytes, Scaled: scaled, machine: machine, slot: int32(len(g.verts))}
+	g.verts[id] = v
 	g.byMach[machine] = append(g.byMach[machine], v)
 	return v
 }
 
 // Vertex returns the vertex with the given id, or nil.
-func (g *Graph) Vertex(id VertexID) *Vertex {
-	v, _ := g.verts.Get(id)
-	return v
-}
+func (g *Graph) Vertex(id VertexID) *Vertex { return g.verts[id] }
 
 // Load finalizes the graph, charging vertex state (with the JVM heap
 // factor) against machine memory.
@@ -146,6 +155,8 @@ func (g *Graph) Load() error {
 	if g.loaded {
 		return nil
 	}
+	g.qStart = make([]int32, len(g.verts))
+	g.qLen = make([]int32, len(g.verts))
 	t0, rec0 := g.c.Now(), recoveredSec(g.c)
 	err := g.c.RunPhaseF("bsp-load", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileJava)
@@ -176,21 +187,90 @@ func (g *Graph) Load() error {
 	return nil
 }
 
-// Context is the per-vertex compute environment.
+// Context is the compute environment of one machine's superstep task,
+// handed to each of its vertices in turn.
 type Context struct {
 	g     *Graph
 	meter *sim.Meter
-	v     *Vertex
+	v     *Vertex // the vertex computing
 	// staged sends from this machine, combined per destination.
-	stage *ordmap.Map[VertexID, pending]
+	stage *stage
 	// agg buffers this machine's aggregator contributions; machines may
 	// compute concurrently, so the global sums are merged at the barrier
-	// in machine order.
+	// in machine order. Made on first use, like shared.
 	agg *ordmap.Map[string, float64]
 	// shared buffers this machine's SetShared publications, applied at the
 	// barrier in machine order (last machine wins, as under sequential
 	// execution).
 	shared *ordmap.Map[string, sharedVal]
+}
+
+// stageEntry is one destination's staged traffic from one machine: the
+// first message, the combined message, or (without a combiner) a []Msg
+// chain, with its simulated size.
+type stageEntry struct {
+	dst      *Vertex
+	msg      Msg
+	simBytes float64
+}
+
+// stage is one machine's sends of a superstep, one entry per destination
+// in first-send order, found by an open-addressing index keyed by the
+// destination's slot.
+type stage struct {
+	slots   []int32 // entry + 1; 0 marks an empty slot
+	shift   uint    // 64 - log2(len(slots))
+	entries []stageEntry
+}
+
+// entry returns dst's entry, adding an empty one if dst has none, and
+// whether it was present. The pointer is valid until the next insertion.
+func (s *stage) entry(dst *Vertex) (*stageEntry, bool) {
+	if 2*(len(s.entries)+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(dst); ; i = (i + 1) & mask {
+		e := s.slots[i] - 1
+		if e < 0 {
+			s.slots[i] = int32(len(s.entries)) + 1
+			s.entries = append(s.entries, stageEntry{dst: dst})
+			return &s.entries[len(s.entries)-1], false
+		}
+		if s.entries[e].dst == dst {
+			return &s.entries[e], true
+		}
+	}
+}
+
+// home is dst's first slot: the high bits of its slot number times the
+// 64-bit golden ratio.
+func (s *stage) home(dst *Vertex) uint64 {
+	return (uint64(dst.slot) * 0x9e3779b97f4a7c15) >> s.shift
+}
+
+// grow doubles the index (at least 16 slots), and the entries' capacity
+// with it, and re-places every entry.
+func (s *stage) grow() {
+	n := max(2*len(s.slots), 16)
+	s.slots = make([]int32, n)
+	s.entries = slices.Grow(s.entries, n/2-len(s.entries))
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	mask := uint64(n - 1)
+	for e := range s.entries {
+		i := s.home(s.entries[e].dst)
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(e) + 1
+	}
+}
+
+// reset empties the stage, keeping its buffers and dropping its payloads.
+func (s *stage) reset() {
+	clear(s.entries)
+	s.entries = s.entries[:0]
+	clear(s.slots)
 }
 
 // sharedVal is one staged worker-shared publication.
@@ -206,7 +286,7 @@ func (ctx *Context) Meter() *sim.Meter { return ctx.meter }
 // bytes is the wire size of the payload. The simulated multiplicity is
 // the cluster scale factor when either endpoint is data-proportional.
 func (ctx *Context) Send(dst VertexID, data any, bytes int64) {
-	dstV := ctx.g.Vertex(dst)
+	dstV := ctx.g.verts[dst]
 	if dstV == nil {
 		panic(fmt.Sprintf("bsp: send to unknown vertex %d", dst))
 	}
@@ -215,44 +295,32 @@ func (ctx *Context) Send(dst VertexID, data any, bytes int64) {
 		mult = ctx.g.c.Scale()
 	}
 	msg := Msg{Data: data, Bytes: bytes}
-	p := pending{msg: msg, simBytes: float64(bytes) * mult, src: ctx.v.machine}
-	if ctx.g.combiner != nil {
-		if prev, ok := ctx.stage.Get(dst); ok && prev.src == p.src {
-			// Combining collapses the sender-side multiplicity (all of a
-			// machine's paper-scale messages to this destination become
-			// one), but a scaled destination still stands for Scale
-			// paper vertices that each receive their own copy.
-			combined := ctx.g.combiner(prev.msg, msg)
-			dstMult := 1.0
-			if dstV.Scaled {
-				dstMult = ctx.g.c.Scale()
-			}
-			ctx.stage.Set(dst, pending{msg: combined, simBytes: float64(combined.Bytes) * dstMult, src: p.src})
-			ctx.meter.ChargeTuplesAbs(mult) // combining work per original message
-			return
+	e, queued := ctx.stage.entry(dstV)
+	switch {
+	case !queued:
+		// The first message to a destination seeds its entry.
+		e.msg, e.simBytes = msg, float64(bytes)*mult
+	case ctx.g.combiner != nil:
+		// Combining collapses the sender-side multiplicity (all of a
+		// machine's paper-scale messages to this destination become
+		// one), but a scaled destination still stands for Scale paper
+		// vertices that each receive their own copy. The charge below is
+		// the combining work per original message.
+		combined := ctx.g.combiner(e.msg, msg)
+		dstMult := 1.0
+		if dstV.Scaled {
+			dstMult = ctx.g.c.Scale()
 		}
-	}
-	// Without a combiner every message is staged individually; with one,
-	// the first message to a destination seeds the stage entry.
-	if ctx.g.combiner != nil {
-		ctx.stage.Set(dst, p)
-	} else {
-		key := dst
-		if prev, ok := ctx.stage.Get(key); ok {
-			// Chain uncombined messages via a list in Data.
-			list, _ := prev.msg.Data.([]Msg)
-			if list == nil {
-				list = []Msg{prev.msg}
-			}
-			list = append(list, msg)
-			ctx.stage.Set(key, pending{
-				msg:      Msg{Data: list, Bytes: prev.msg.Bytes + bytes},
-				simBytes: prev.simBytes + p.simBytes,
-				src:      p.src,
-			})
-		} else {
-			ctx.stage.Set(key, p)
+		e.msg, e.simBytes = combined, float64(combined.Bytes)*dstMult
+	default:
+		// Without a combiner every message is delivered: chain them via
+		// a list in Data.
+		list, _ := e.msg.Data.([]Msg)
+		if list == nil {
+			list = []Msg{e.msg}
 		}
+		e.msg = Msg{Data: append(list, msg), Bytes: e.msg.Bytes + bytes}
+		e.simBytes += float64(bytes) * mult
 	}
 	ctx.meter.ChargeTuplesAbs(mult)
 }
@@ -263,6 +331,9 @@ func (ctx *Context) Aggregate(name string, v float64) {
 	mult := 1.0
 	if ctx.v.Scaled {
 		mult = ctx.g.c.Scale()
+	}
+	if ctx.agg == nil {
+		ctx.agg = ordmap.New[string, float64]()
 	}
 	old, _ := ctx.agg.Get(name)
 	ctx.agg.Set(name, old+v*mult)
@@ -277,6 +348,9 @@ func (ctx *Context) Agg(name string) float64 { return ctx.g.aggPrev[name] }
 // "broadcast" of the paper's Giraph codes): after this superstep every
 // machine holds one copy, charged against its memory.
 func (ctx *Context) SetShared(name string, value any, bytes int64) {
+	if ctx.shared == nil {
+		ctx.shared = ordmap.New[string, sharedVal]()
+	}
 	ctx.shared.Set(name, sharedVal{value: value, bytes: bytes})
 }
 
@@ -301,33 +375,20 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 	machines := g.c.NumMachines()
 	inflight := float64(machines) / (float64(machines) + cost.BSPInflightHalfM)
 
-	// Group queued messages by destination machine and compute resident
-	// buffer sizes.
-	inbox := make([]*ordmap.Map[VertexID, []Msg], machines)
+	// Resident buffer sizes of the queued messages, per destination
+	// machine, summed in first-queued order.
 	resident := make([]float64, machines)
-	for i := range inbox {
-		inbox[i] = ordmap.New[VertexID, []Msg]()
-	}
-	g.queue.Each(func(dst VertexID, ps []pending) {
-		v := g.Vertex(dst)
-		msgs := make([]Msg, 0, len(ps))
-		for _, p := range ps {
-			if list, ok := p.msg.Data.([]Msg); ok {
-				msgs = append(msgs, list...)
-			} else {
-				msgs = append(msgs, p.msg)
-			}
-			resident[v.machine] += p.simBytes
+	for _, v := range g.qOrder {
+		lo := g.qStart[v.slot]
+		for _, b := range g.qSim[lo : lo+g.qLen[v.slot]] {
+			resident[v.machine] += b
 		}
-		inbox[v.machine].Set(dst, msgs)
-	})
-	g.queue = ordmap.New[VertexID, []pending]()
+	}
 
 	// Rotate aggregators.
 	g.aggPrev = g.aggCur
 	g.aggCur = map[string]float64{}
 
-	stages := make([]*ordmap.Map[VertexID, pending], machines)
 	aggStages := make([]*ordmap.Map[string, float64], machines)
 	sharedStages := make([]*ordmap.Map[string, sharedVal], machines)
 	heap := cost.BSPHeapFactor
@@ -340,52 +401,48 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 			return err
 		}
 		defer m.Machine().Free(buf)
-		stage := ordmap.New[VertexID, pending]()
-		stages[machine] = stage
-		agg := ordmap.New[string, float64]()
-		aggStages[machine] = agg
-		shared := ordmap.New[string, sharedVal]()
-		sharedStages[machine] = shared
+		ctx := &Context{g: g, meter: m, stage: &g.stages[machine]}
 		for _, v := range g.byMach[machine] {
-			msgs, _ := inbox[machine].Get(v.ID)
+			msgs := g.inbox(v)
 			if v.Scaled {
 				m.ChargeTuples(1 + len(msgs))
 			} else {
 				m.ChargeTuplesAbs(float64(1 + len(msgs)))
 			}
-			ctx := &Context{g: g, meter: m, v: v, stage: stage, agg: agg, shared: shared}
+			ctx.v = v
 			if err := compute(ctx, v, msgs); err != nil {
 				return err
 			}
 		}
+		aggStages[machine], sharedStages[machine] = ctx.agg, ctx.shared
 		// Network for staged sends (combined volume).
 		var msgCount, msgBytes float64
-		stage.Each(func(dst VertexID, p pending) {
-			dm := g.Vertex(dst).machine
-			if dm != machine {
-				m.SendModel(dm, p.simBytes)
+		for _, e := range ctx.stage.entries {
+			if dm := e.dst.machine; dm != machine {
+				m.SendModel(dm, e.simBytes)
 				msgCount++
-				msgBytes += p.simBytes
+				msgBytes += e.simBytes
 			}
-		})
+		}
 		if msgCount > 0 {
 			m.Count("messages", msgCount)
 			m.Count("message_bytes", msgBytes)
 		}
 		return nil
 	})
+	// This superstep's queue is delivered; the stages become the next.
+	for _, v := range g.qOrder {
+		g.qLen[v.slot] = 0
+	}
+	g.qOrder, g.qMsg, g.qSim = g.qOrder[:0], nil, nil
+	if err == nil {
+		g.enqueueStages()
+	}
+	for i := range g.stages {
+		g.stages[i].reset()
+	}
 	if err != nil {
 		return err
-	}
-	// Merge stages into the next queue, deterministically by machine.
-	for _, stage := range stages {
-		if stage == nil {
-			continue
-		}
-		stage.Each(func(dst VertexID, p pending) {
-			old, _ := g.queue.Get(dst)
-			g.queue.Set(dst, append(old, p))
-		})
 	}
 	// Merge aggregator and shared-value stages, in machine order.
 	for _, a := range aggStages {
@@ -412,6 +469,62 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 	g.stepSecs = append(g.stepSecs, (g.c.Now()-t0)-(recoveredSec(g.c)-rec0))
 	g.step++
 	return nil
+}
+
+// inbox returns v's messages for this superstep: its queue range, with
+// each []Msg chain flattened into its messages. Without chains the range
+// is handed out as is.
+func (g *Graph) inbox(v *Vertex) []Msg {
+	n := g.qLen[v.slot]
+	if n == 0 {
+		return nil
+	}
+	lo := g.qStart[v.slot]
+	queued := g.qMsg[lo : lo+n : lo+n]
+	for i, m := range queued {
+		if _, ok := m.Data.([]Msg); ok {
+			msgs := append(make([]Msg, 0, len(queued)), queued[:i]...)
+			for _, m := range queued[i:] {
+				if list, ok := m.Data.([]Msg); ok {
+					msgs = append(msgs, list...)
+				} else {
+					msgs = append(msgs, m)
+				}
+			}
+			return msgs
+		}
+	}
+	return queued
+}
+
+// enqueueStages moves the machines' stages into the queue. Destinations
+// are queued in the order the stages first name them, walking machines
+// in order, and each destination's messages follow machine order.
+func (g *Graph) enqueueStages() {
+	n := 0
+	for i := range g.stages {
+		for _, e := range g.stages[i].entries {
+			if g.qLen[e.dst.slot] == 0 {
+				g.qOrder = append(g.qOrder, e.dst)
+			}
+			g.qLen[e.dst.slot]++
+			n++
+		}
+	}
+	var lo int32
+	for _, v := range g.qOrder {
+		g.qStart[v.slot] = lo
+		lo += g.qLen[v.slot]
+		g.qLen[v.slot] = 0 // refilled below
+	}
+	g.qMsg, g.qSim = make([]Msg, n), make([]float64, n)
+	for i := range g.stages {
+		for _, e := range g.stages[i].entries {
+			j := g.qStart[e.dst.slot] + g.qLen[e.dst.slot]
+			g.qMsg[j], g.qSim[j] = e.msg, e.simBytes
+			g.qLen[e.dst.slot]++
+		}
+	}
 }
 
 // settleShared charges the per-machine residence and distribution of

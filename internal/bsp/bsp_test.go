@@ -33,8 +33,8 @@ func TestMessageDeliveryNextSuperstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.queue.Len() != 1 {
-		t.Fatalf("pending = %d", g.queue.Len())
+	if len(g.qOrder) != 1 {
+		t.Fatalf("pending = %d", len(g.qOrder))
 	}
 	// Step 1: vertex 2 receives it.
 	var got []float64
@@ -418,4 +418,21 @@ func TestVertexPlacement(t *testing.T) {
 	if len(used) < 3 {
 		t.Errorf("20 hashed vertices used only %d of 4 machines", len(used))
 	}
+}
+
+// A second AddVertex with an existing id would leave the first vertex in
+// its machine's list, still computing and charged memory, so it panics.
+func TestAddVertexDuplicatePanics(t *testing.T) {
+	g := NewGraph(testCluster(2))
+	g.AddVertex(7, nil, 8, false, 0)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic on duplicate vertex")
+		}
+		if got := g.Vertex(7).Machine(); got != 0 || len(g.byMach[1]) != 0 {
+			t.Errorf("duplicate AddVertex changed the graph: vertex 7 on machine %d, machine 1 holds %d vertices", got, len(g.byMach[1]))
+		}
+	}()
+	g.AddVertex(7, nil, 8, false, 1)
 }

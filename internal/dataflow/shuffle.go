@@ -219,7 +219,11 @@ func runShuffle[K comparable, V, A, O any](
 		local := ordmap.New[int, *ordmap.Map[K, A]]()
 		for _, kv := range data {
 			t := int(hashKey(kv.K) % uint64(out.parts))
-			fold(m, local.GetOrInsert(t, func() *ordmap.Map[K, A] { return ordmap.New[K, A]() }), kv)
+			l, ok := local.Ref(t)
+			if !ok {
+				*l = ordmap.New[K, A]()
+			}
+			fold(m, *l, kv)
 		}
 		var wrote int64
 		for _, t := range sortedTargets(local) {

@@ -132,9 +132,13 @@ func (g *Graph) SetEdges(e EdgeSet) {
 func (g *Graph) EffectiveMachines() int { return g.machines }
 
 // AddVertex inserts a vertex, placed by id hash unless machine >= 0.
+// Each id may be added once.
 func (g *Graph) AddVertex(id VertexID, data any, bytes int64, scaled bool, machine int) *Vertex {
 	if g.loaded {
 		panic("gas: AddVertex after Load")
+	}
+	if _, dup := g.verts.Get(id); dup {
+		panic(fmt.Sprintf("gas: AddVertex of existing vertex %d", id))
 	}
 	if machine < 0 {
 		machine = int(uint64(id*2654435761) % uint64(g.machines))

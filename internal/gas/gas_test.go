@@ -322,3 +322,20 @@ func TestGatherFollowsEdgeSet(t *testing.T) {
 		t.Errorf("isolated vertex = %v, want its own 9", got)
 	}
 }
+
+// A second AddVertex with an existing id would leave the first vertex in
+// its machine's list, still gathering and charged memory, so it panics.
+func TestAddVertexDuplicatePanics(t *testing.T) {
+	g := NewGraph(testCluster(2), nil)
+	g.AddVertex(7, 0.0, 8, false, 0)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic on duplicate vertex")
+		}
+		if got := g.Vertex(7).Machine(); got != 0 || len(g.byMach[1]) != 0 {
+			t.Errorf("duplicate AddVertex changed the graph: vertex 7 on machine %d, machine 1 holds %d vertices", got, len(g.byMach[1]))
+		}
+	}()
+	g.AddVertex(7, 0.0, 8, false, 1)
+}

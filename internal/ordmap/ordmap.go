@@ -47,14 +47,18 @@ func (o *Map[K, V]) Merge(k K, v V, f func(old, new V) V) {
 	o.Set(k, v)
 }
 
-// GetOrInsert returns the value for k, inserting mk() first if absent.
-func (o *Map[K, V]) GetOrInsert(k K, mk func() V) V {
+// Ref returns a pointer to k's value, inserting the zero value first if k
+// is absent, and whether k was present, in one lookup. The pointer is
+// valid until the next insertion.
+func (o *Map[K, V]) Ref(k K) (*V, bool) {
 	if i, ok := o.idx[k]; ok {
-		return o.vals[i]
+		return &o.vals[i], true
 	}
-	v := mk()
-	o.Set(k, v)
-	return v
+	var zero V
+	o.idx[k] = len(o.keys)
+	o.keys = append(o.keys, k)
+	o.vals = append(o.vals, zero)
+	return &o.vals[len(o.vals)-1], false
 }
 
 // Len returns the entry count.

@@ -52,14 +52,24 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestGetOrInsert(t *testing.T) {
-	m := New[int, *int]()
-	calls := 0
-	mk := func() *int { calls++; x := 7; return &x }
-	p1 := m.GetOrInsert(1, mk)
-	p2 := m.GetOrInsert(1, mk)
-	if p1 != p2 || calls != 1 {
-		t.Errorf("GetOrInsert created %d values", calls)
+func TestRef(t *testing.T) {
+	m := New[string, int]()
+	m.Set("a", 1)
+	p, ok := m.Ref("b")
+	if ok || *p != 0 {
+		t.Fatalf("Ref(absent) = %d, %v; want the zero value, false", *p, ok)
+	}
+	*p = 7
+	p, ok = m.Ref("b")
+	if !ok || *p != 7 {
+		t.Fatalf("Ref(present) = %d, %v; want 7, true", *p, ok)
+	}
+	*p++
+	if v, _ := m.Get("b"); v != 8 {
+		t.Errorf("write through Ref lost: Get = %d, want 8", v)
+	}
+	if keys := m.Keys(); len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
+		t.Errorf("Ref broke insertion order: %v", keys)
 	}
 }
 

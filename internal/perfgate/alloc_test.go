@@ -3,10 +3,12 @@ package perfgate
 import (
 	"testing"
 
+	"mlbench/internal/bsp"
 	"mlbench/internal/linalg"
 	"mlbench/internal/models/gmm"
 	"mlbench/internal/models/impute"
 	"mlbench/internal/randgen"
+	"mlbench/internal/relational"
 	"mlbench/internal/sim"
 	"mlbench/internal/workload"
 )
@@ -167,5 +169,82 @@ func TestGMMStreamAllocCeiling(t *testing.T) {
 	})
 	if perPass > 64 {
 		t.Errorf("streaming %d GMM points cost %.0f allocs, ceiling 64: points are being allocated one by one", n, perPass)
+	}
+}
+
+// GROUP BY keeps its groups in a key index and carves their running
+// state from chunks: 64k rows folding into 4,096 groups on one machine
+// cost a few allocations per chunk and per index doubling, not several
+// per group (158 here; the ordmap groups with one state per group cost
+// 28,881).
+func TestGroupAggAllocCeiling(t *testing.T) {
+	const rows, groups = 65_536, 4096
+	cfg := sim.DefaultConfig(1)
+	cfg.HostWorkers = 1
+	eng := relational.NewEngine(sim.New(cfg))
+	in := relational.NewTable("in", relational.Floats("k", "x"), 1)
+	for i := 0; i < rows; i++ {
+		in.Parts[0] = append(in.Parts[0], relational.T(float64(i*7919%groups), float64(i)))
+	}
+	plan := relational.GroupAggP(relational.ScanT(in), []int{0}, []relational.AggSpec{
+		{Kind: relational.AggSum, Col: 1, Name: "s"},
+		{Kind: relational.AggMax, Col: 1, Name: "hi"},
+	})
+	run := func() {
+		out, err := eng.Run("g", plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := out.NumRows(); n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+	}
+	if a := testing.AllocsPerRun(3, run); a > 400 {
+		t.Errorf("grouping %d rows into %d groups cost %.0f allocs, ceiling 400: groups are being allocated one by one", rows, groups, a)
+	}
+}
+
+// A superstep's sends are staged in a flat per-machine index whose
+// buffers the graph reuses, and queued in one flat array: 100k sends to
+// distinct vertices, and their delivery, cost a few allocations per
+// machine and per buffer, not one per message (34 here; the ordmap
+// stages, queue and inboxes cost 402,041).
+func TestBSPSendAllocCeiling(t *testing.T) {
+	const n, machines = 100_000, 4
+	cfg := sim.DefaultConfig(machines)
+	cfg.HostWorkers = 1
+	g := bsp.NewGraph(sim.New(cfg))
+	g.AddVertex(0, nil, 8, false, 0)
+	for i := 1; i <= n; i++ {
+		g.AddVertex(bsp.VertexID(i), nil, 8, false, -1)
+	}
+	if err := g.Load(); err != nil {
+		t.Fatal(err)
+	}
+	payload := new(float64) // shared, so the payloads cost nothing
+	send := func(ctx *bsp.Context, v *bsp.Vertex, msgs []bsp.Msg) error {
+		if v.ID == 0 {
+			for i := 1; i <= n; i++ {
+				ctx.Send(bsp.VertexID(i), payload, 8)
+			}
+		}
+		return nil
+	}
+	deliver := func(ctx *bsp.Context, v *bsp.Vertex, msgs []bsp.Msg) error {
+		if v.ID != 0 && len(msgs) != 1 {
+			t.Fatalf("vertex %d received %d messages", v.ID, len(msgs))
+		}
+		return nil
+	}
+	step := func() {
+		if err := g.RunSuperstep(send); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RunSuperstep(deliver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(3, step); a > 128 {
+		t.Errorf("%d sends and their delivery cost %.0f allocs, ceiling 128: messages are being staged or queued one by one", n, a)
 	}
 }

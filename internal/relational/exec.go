@@ -1,6 +1,8 @@
 package relational
 
 import (
+	"math"
+
 	"mlbench/internal/ordmap"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -175,8 +177,8 @@ func (e *Engine) repartition(name string, in *Table, keyCols []int) ([][]Tuple, 
 			} else {
 				m.SendModel(dst, bytes)
 			}
-			ts, _ := local.Get(dst)
-			local.Set(dst, append(ts, t))
+			ts, _ := local.Ref(dst)
+			*ts = append(*ts, t)
 		})
 		countShuffle(m, n, width, in.Scaled)
 		chargeDisk(m, e.c, n, width, in.Scaled) // write map output
@@ -213,23 +215,42 @@ func (n *hashJoinNode) run(e *Engine) (*Table, error) {
 	out.Scaled = n.scaled()
 	err = e.c.RunPhaseF("join-reduce", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileSQLEngine)
-		build := ordmap.New[keyRef, []Tuple]()
-		for _, t := range lParts[machine] {
+		// Build: index the left rows' keys, then counting-sort the rows by
+		// key entry, so byKey[off[k]:off[k+1]] holds entry k's rows in row
+		// order.
+		lp := lParts[machine]
+		var build keyIndex
+		ents := make([]int32, len(lp))
+		for i, t := range lp {
 			k := keyOf(t, n.lCols)
-			old, _ := build.Get(k)
-			build.Set(k, append(old, t))
+			ent, _ := build.insert(k, k.hash())
+			ents[i] = int32(ent)
 		}
-		chargeRows(m, len(lParts[machine]), l.Scaled)
+		off := make([]int32, build.len()+1)
+		for _, ent := range ents {
+			off[ent+1]++
+		}
+		for ent := range build.len() {
+			off[ent+1] += off[ent]
+		}
+		fill := append([]int32(nil), off[:build.len()]...)
+		byKey := make([]Tuple, len(lp))
+		for i, ent := range ents {
+			byKey[fill[ent]] = lp[i]
+			fill[ent]++
+		}
+		chargeRows(m, len(lp), l.Scaled)
 		// Build side streams through a disk-backed sort in Hadoop.
-		chargeDisk(m, e.c, len(lParts[machine]), len(l.Schema), l.Scaled)
+		chargeDisk(m, e.c, len(lp), len(l.Schema), l.Scaled)
 		var res []Tuple
+		var tuples carver[float64]
 		for _, t := range rParts[machine] {
 			k := keyOf(t, n.rCols)
-			if matches, ok := build.Get(k); ok {
-				for _, lt := range matches {
-					joined := make(Tuple, 0, len(lt)+len(t))
-					joined = append(joined, lt...)
-					joined = append(joined, t...)
+			if ent, ok := build.find(k, k.hash()); ok {
+				for _, lt := range byKey[off[ent]:off[ent+1]] {
+					joined := Tuple(tuples.take(len(lt) + len(t)))
+					copy(joined, lt)
+					copy(joined[len(lt):], t)
 					res = append(res, joined)
 				}
 			}
@@ -311,17 +332,29 @@ func (n *arithJoinNode) run(e *Engine) (*Table, error) {
 	return out, nil
 }
 
-// aggState is the running state of one group's aggregates.
+// aggState is the running state of one group's aggregates. It carries
+// its key and the key's hash, which routes the group to its reducer.
 type aggState struct {
+	k     keyRef
+	h     uint64
 	count float64
 	sums  []float64
 	mins  []float64
 	maxs  []float64
-	key   Tuple
 }
 
-func newAggState(key Tuple, nAggs int) *aggState {
-	s := &aggState{key: key, sums: make([]float64, nAggs), mins: make([]float64, nAggs), maxs: make([]float64, nAggs)}
+// aggArena carves a task's aggStates and their columns from never-reused
+// chunks, so a GROUP BY allocates per chunk, not per group.
+type aggArena struct {
+	states carver[aggState]
+	cols   carver[float64]
+}
+
+func (a *aggArena) newState(k keyRef, h uint64, nAggs int) *aggState {
+	s := &a.states.take(1)[0]
+	c := a.cols.take(3 * nAggs)
+	s.k, s.h = k, h
+	s.sums, s.mins, s.maxs = c[:nAggs:nAggs], c[nAggs:2*nAggs:2*nAggs], c[2*nAggs:]
 	for i := range s.mins {
 		s.mins[i] = 1e308
 		s.maxs[i] = -1e308
@@ -374,24 +407,27 @@ func (s *aggState) merge(o *aggState, aggs []AggSpec) {
 	}
 }
 
-func (s *aggState) finish(aggs []AggSpec) Tuple {
-	out := make(Tuple, 0, len(s.key)+len(aggs))
-	out = append(out, s.key...)
+// finish writes the group's output row, its key columns then one value
+// per aggregate, into out.
+func (s *aggState) finish(aggs []AggSpec, out Tuple) {
+	for i := range s.k.n {
+		out[i] = math.Float64frombits(s.k.v[i])
+	}
+	out = out[s.k.n:]
 	for i, a := range aggs {
 		switch a.Kind {
 		case AggSum:
-			out = append(out, s.sums[i])
+			out[i] = s.sums[i]
 		case AggCount:
-			out = append(out, s.count)
+			out[i] = s.count
 		case AggAvg:
-			out = append(out, s.sums[i]/s.count)
+			out[i] = s.sums[i] / s.count
 		case AggMin:
-			out = append(out, s.mins[i])
+			out[i] = s.mins[i]
 		case AggMax:
-			out = append(out, s.maxs[i])
+			out[i] = s.maxs[i]
 		}
 	}
-	return out
 }
 
 func (n *groupAggNode) run(e *Engine) (*Table, error) {
@@ -400,53 +436,52 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 		return nil, err
 	}
 	e.c.AdvanceNamed("mr-job-launch", e.c.Config().Cost.MRJobLaunch)
-	width := len(in.Schema)
+	width, outWidth := len(in.Schema), len(n.Schema())
 	// Map side with combining: one partial aggregate per (machine, group).
 	// Partials route to their reducers in the Merge hooks, in machine
 	// order, keeping the shared per-destination lists deterministic under
 	// host parallelism.
 	partials := make([][]*aggState, e.machines()) // indexed by destination
-	localAggs := make([]*ordmap.Map[keyRef, *aggState], e.machines())
+	localAggs := make([][]*aggState, e.machines())
 	err = e.c.RunPhaseFM("group-map", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileSQLEngine)
 		nRows := in.PartLen(machine)
 		// GROUP BY absorbs its input through the tight combiner loop.
 		chargeCombine(m, e.c, float64(nRows), in.Scaled)
 		chargeDisk(m, e.c, nRows, width, in.Scaled)
-		local := ordmap.New[keyRef, *aggState]()
+		var idx keyIndex
+		var arena aggArena
+		var local []*aggState // by key entry, in first-seen order
 		in.EachRow(machine, func(t Tuple) {
 			k := keyOf(t, n.keyCols)
-			st := local.GetOrInsert(k, func() *aggState {
-				key := make(Tuple, len(n.keyCols))
-				for i, c := range n.keyCols {
-					key[i] = t[c]
-				}
-				return newAggState(key, len(n.aggs))
-			})
-			st.absorb(t, n.aggs)
+			h := k.hash()
+			ent, ok := idx.insert(k, h)
+			if !ok {
+				local = append(local, arena.newState(k, h, len(n.aggs)))
+			}
+			local[ent].absorb(t, n.aggs)
 		})
 		// One partial per group ships to its reducer. Whether those
 		// partials are data- or model-proportional depends on the group
 		// cardinality, which AsModelP declares.
-		outWidth := len(n.Schema())
-		local.Each(func(k keyRef, st *aggState) {
-			dst := int(k.hash() % uint64(e.machines()))
+		for _, st := range local {
+			dst := int(st.h % uint64(e.machines()))
 			bytes := float64(tupleBytes(outWidth))
 			if n.scaled() {
 				m.SendData(dst, bytes)
 			} else {
 				m.SendModel(dst, bytes)
 			}
-		})
-		countShuffle(m, local.Len(), outWidth, n.scaled())
-		chargeRows(m, local.Len(), n.scaled())
+		}
+		countShuffle(m, len(local), outWidth, n.scaled())
+		chargeRows(m, len(local), n.scaled())
 		localAggs[machine] = local
 		return nil
 	}, func(machine int, m *sim.Meter) error {
-		localAggs[machine].Each(func(k keyRef, st *aggState) {
-			dst := int(k.hash() % uint64(e.machines()))
+		for _, st := range localAggs[machine] {
+			dst := int(st.h % uint64(e.machines()))
 			partials[dst] = append(partials[dst], st)
-		})
+		}
 		return nil
 	})
 	if err != nil {
@@ -456,20 +491,23 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 	out.Scaled = n.scaled()
 	err = e.c.RunPhaseF("group-reduce", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileSQLEngine)
-		merged := ordmap.New[keyRef, *aggState]()
+		// The first partial of each group becomes its accumulator.
+		var idx keyIndex
+		var merged []*aggState
 		for _, st := range partials[machine] {
-			k := keyOf(st.key, identityCols(len(st.key)))
-			if prev, ok := merged.Get(k); ok {
-				prev.merge(st, n.aggs)
+			if ent, ok := idx.insert(st.k, st.h); ok {
+				merged[ent].merge(st, n.aggs)
 			} else {
-				merged.Set(k, st)
+				merged = append(merged, st)
 			}
 		}
 		chargeRows(m, len(partials[machine]), n.scaled())
-		var res []Tuple
-		merged.Each(func(_ keyRef, st *aggState) {
-			res = append(res, st.finish(n.aggs))
-		})
+		res := make([]Tuple, len(merged))
+		cells := make([]float64, len(merged)*outWidth)
+		for i, st := range merged {
+			res[i] = cells[i*outWidth : (i+1)*outWidth : (i+1)*outWidth]
+			st.finish(n.aggs, res[i])
+		}
 		chargeRows(m, len(res), n.scaled())
 		chargeDisk(m, e.c, len(res), len(out.Schema), n.scaled())
 		out.Parts[machine] = res
@@ -479,15 +517,6 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// identityCols returns [0, 1, ..., n-1].
-func identityCols(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // VGMeter is the charging interface handed to VG function
@@ -564,9 +593,8 @@ func (n *vgApplyNode) run(e *Engine) (*Table, error) {
 		byGroup := ordmap.New[uint64, []Tuple]()
 		if n.groupCol >= 0 {
 			for _, t := range rows {
-				k := keyOf(t, []int{n.groupCol}).hash()
-				old, _ := byGroup.Get(k)
-				byGroup.Set(k, append(old, t))
+				g, _ := byGroup.Ref(keyOf(t, []int{n.groupCol}).hash())
+				*g = append(*g, t)
 			}
 		} else if len(rows) > 0 {
 			byGroup.Set(0, rows)

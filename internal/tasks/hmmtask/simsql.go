@@ -94,6 +94,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 			docsOnMachine0 = len(docs)
 		}
 		localStates[mc] = make([][]int, len(docs))
+		rows := newWordSlab(docs)
 		for di, doc := range docs {
 			st := hmm.InitStates(rng, doc, cfg.K)
 			localStates[mc][di] = st
@@ -102,11 +103,11 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 				if pos > 0 {
 					prev = float64(st[pos-1])
 				}
-				states.Parts[mc] = append(states.Parts[mc], relational.T(
-					float64(docID), float64(pos), float64(w), float64(st[pos]), prev))
+				rows.add(float64(docID), float64(pos), float64(w), float64(st[pos]), prev)
 			}
 			docID++
 		}
+		states.Parts[mc] = rows.rows
 	}
 	// Loading plus initial-state assignment: one pass over the word
 	// relation and the model-initialization jobs (the paper's word-based
@@ -255,7 +256,7 @@ func simsqlSVIteration(cl *sim.Cluster, cfg Config, model *hmm.Model, machineDoc
 		docs := machineDocs[machine]
 		sts := localStates[machine]
 		var sc hmm.Scratch
-		var rows []relational.Tuple
+		rows := newWordSlab(docs)
 		for di, doc := range docs {
 			m.ChargeBulk(float64(len(doc)) * hmm.StateFlopsTier(cfg.Sampler, cfg.K) / 2)
 			model.ResampleStatesTier(m.RNG(), doc, sts[di], iter, cfg.Sampler, &sc)
@@ -264,20 +265,44 @@ func simsqlSVIteration(cl *sim.Cluster, cfg Config, model *hmm.Model, machineDoc
 				if pos > 0 {
 					prev = float64(sts[di][pos-1])
 				}
-				rows = append(rows, relational.T(float64(di), float64(pos), float64(wd), float64(sts[di][pos]), prev))
+				rows.add(float64(di), float64(pos), float64(wd), float64(sts[di][pos]), prev)
 			}
 		}
 		// Emitting the per-word tuples goes through the SQL engine and
 		// the random-table versioning sort.
 		m.SetProfile(sim.ProfileSQLEngine)
-		m.ChargeTuples(3 * len(rows))
-		out.Parts[machine] = rows
+		m.ChargeTuples(3 * len(rows.rows))
+		out.Parts[machine] = rows.rows
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// wordSlab builds one machine's per-word state rows, carving every row
+// from a single slab sized to the machine's word count.
+type wordSlab struct {
+	rows  []relational.Tuple
+	cells []float64
+}
+
+// newWordSlab returns an empty wordSlab sized for docs' words.
+func newWordSlab(docs [][]int) *wordSlab {
+	n := 0
+	for _, d := range docs {
+		n += len(d)
+	}
+	w := len(statesSchema())
+	return &wordSlab{rows: make([]relational.Tuple, 0, n), cells: make([]float64, 0, n*w)}
+}
+
+// add appends one (docID, pos, word, state, prevState) row.
+func (s *wordSlab) add(vals ...float64) {
+	lo := len(s.cells)
+	s.cells = append(s.cells, vals...)
+	s.rows = append(s.rows, s.cells[lo:len(s.cells):len(s.cells)])
 }
 
 // simsqlCounts aggregates f(w,s), g(s) and h(s,s') with three GROUP BY

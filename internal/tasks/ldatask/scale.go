@@ -289,7 +289,11 @@ func RunScaleGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				chargeScaleDoc(m, cfg, len(words))
 				d := rejuvenate(m.RNG(), h, model, words)
 				for i, w := range d.Words {
-					byTopic.GetOrInsert(d.Z[i], func() *sparse.Counts { return sparse.New(cfg.V) }).Add(0, w, 1)
+					wc, ok := byTopic.Ref(d.Z[i])
+					if !ok {
+						*wc = sparse.New(cfg.V)
+					}
+					(*wc).Add(0, w, 1)
 				}
 			})
 			byTopic.Each(func(t int, wc *sparse.Counts) {
