@@ -21,8 +21,6 @@ package bsp
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 
 	"mlbench/internal/ordmap"
 	"mlbench/internal/sim"
@@ -157,7 +155,7 @@ func (g *Graph) Load() error {
 	}
 	g.qStart = make([]int32, len(g.verts))
 	g.qLen = make([]int32, len(g.verts))
-	t0, rec0 := g.c.Now(), recoveredSec(g.c)
+	t0, rec0 := g.c.Now(), g.c.RecoveredSec()
 	err := g.c.RunPhaseF("bsp-load", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileJava)
 		for _, v := range g.byMach[machine] {
@@ -183,7 +181,7 @@ func (g *Graph) Load() error {
 		return err
 	}
 	g.loaded = true
-	g.loadSec = (g.c.Now() - t0) - (recoveredSec(g.c) - rec0)
+	g.loadSec = (g.c.Now() - t0) - (g.c.RecoveredSec() - rec0)
 	return nil
 }
 
@@ -205,73 +203,17 @@ type Context struct {
 	shared *ordmap.Map[string, sharedVal]
 }
 
-// stageEntry is one destination's staged traffic from one machine: the
-// first message, the combined message, or (without a combiner) a []Msg
-// chain, with its simulated size.
-type stageEntry struct {
-	dst      *Vertex
+// staged is one destination's traffic from one machine: the first
+// message, the combined message, or (without a combiner) a []Msg chain,
+// with its simulated size.
+type staged struct {
 	msg      Msg
 	simBytes float64
 }
 
 // stage is one machine's sends of a superstep, one entry per destination
-// in first-send order, found by an open-addressing index keyed by the
-// destination's slot.
-type stage struct {
-	slots   []int32 // entry + 1; 0 marks an empty slot
-	shift   uint    // 64 - log2(len(slots))
-	entries []stageEntry
-}
-
-// entry returns dst's entry, adding an empty one if dst has none, and
-// whether it was present. The pointer is valid until the next insertion.
-func (s *stage) entry(dst *Vertex) (*stageEntry, bool) {
-	if 2*(len(s.entries)+1) > len(s.slots) {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := s.home(dst); ; i = (i + 1) & mask {
-		e := s.slots[i] - 1
-		if e < 0 {
-			s.slots[i] = int32(len(s.entries)) + 1
-			s.entries = append(s.entries, stageEntry{dst: dst})
-			return &s.entries[len(s.entries)-1], false
-		}
-		if s.entries[e].dst == dst {
-			return &s.entries[e], true
-		}
-	}
-}
-
-// home is dst's first slot: the high bits of its slot number times the
-// 64-bit golden ratio.
-func (s *stage) home(dst *Vertex) uint64 {
-	return (uint64(dst.slot) * 0x9e3779b97f4a7c15) >> s.shift
-}
-
-// grow doubles the index (at least 16 slots), and the entries' capacity
-// with it, and re-places every entry.
-func (s *stage) grow() {
-	n := max(2*len(s.slots), 16)
-	s.slots = make([]int32, n)
-	s.entries = slices.Grow(s.entries, n/2-len(s.entries))
-	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	mask := uint64(n - 1)
-	for e := range s.entries {
-		i := s.home(s.entries[e].dst)
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = int32(e) + 1
-	}
-}
-
-// reset empties the stage, keeping its buffers and dropping its payloads.
-func (s *stage) reset() {
-	clear(s.entries)
-	s.entries = s.entries[:0]
-	clear(s.slots)
-}
+// in first-send order, hashed by the destination's slot.
+type stage = ordmap.Map[*Vertex, staged]
 
 // sharedVal is one staged worker-shared publication.
 type sharedVal struct {
@@ -295,7 +237,8 @@ func (ctx *Context) Send(dst VertexID, data any, bytes int64) {
 		mult = ctx.g.c.Scale()
 	}
 	msg := Msg{Data: data, Bytes: bytes}
-	e, queued := ctx.stage.entry(dstV)
+	i, queued := ctx.stage.Put(dstV, uint64(dstV.slot))
+	e := &ctx.stage.Entries()[i].Val
 	switch {
 	case !queued:
 		// The first message to a destination seeds its entry.
@@ -335,8 +278,8 @@ func (ctx *Context) Aggregate(name string, v float64) {
 	if ctx.agg == nil {
 		ctx.agg = ordmap.New[string, float64]()
 	}
-	old, _ := ctx.agg.Get(name)
-	ctx.agg.Set(name, old+v*mult)
+	sum, _ := ctx.agg.Ref(name)
+	*sum += v * mult
 	ctx.meter.ChargeTuplesAbs(mult)
 }
 
@@ -370,7 +313,7 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 			return err
 		}
 	}
-	t0, rec0 := g.c.Now(), recoveredSec(g.c)
+	t0, rec0 := g.c.Now(), g.c.RecoveredSec()
 	g.c.AdvanceNamed("bsp-superstep-launch", cost.BSPSuperstep)
 	machines := g.c.NumMachines()
 	inflight := float64(machines) / (float64(machines) + cost.BSPInflightHalfM)
@@ -417,11 +360,11 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 		aggStages[machine], sharedStages[machine] = ctx.agg, ctx.shared
 		// Network for staged sends (combined volume).
 		var msgCount, msgBytes float64
-		for _, e := range ctx.stage.entries {
-			if dm := e.dst.machine; dm != machine {
-				m.SendModel(dm, e.simBytes)
+		for _, e := range ctx.stage.Entries() {
+			if dm := e.Key.machine; dm != machine {
+				m.SendModel(dm, e.Val.simBytes)
 				msgCount++
-				msgBytes += e.simBytes
+				msgBytes += e.Val.simBytes
 			}
 		}
 		if msgCount > 0 {
@@ -439,7 +382,7 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 		g.enqueueStages()
 	}
 	for i := range g.stages {
-		g.stages[i].reset()
+		g.stages[i].Reset()
 	}
 	if err != nil {
 		return err
@@ -466,7 +409,7 @@ func (g *Graph) RunSuperstep(compute Compute) error {
 	}
 	// Record the superstep's duration (minus any recovery settled within
 	// it) as rollback-replay basis.
-	g.stepSecs = append(g.stepSecs, (g.c.Now()-t0)-(recoveredSec(g.c)-rec0))
+	g.stepSecs = append(g.stepSecs, (g.c.Now()-t0)-(g.c.RecoveredSec()-rec0))
 	g.step++
 	return nil
 }
@@ -503,11 +446,11 @@ func (g *Graph) inbox(v *Vertex) []Msg {
 func (g *Graph) enqueueStages() {
 	n := 0
 	for i := range g.stages {
-		for _, e := range g.stages[i].entries {
-			if g.qLen[e.dst.slot] == 0 {
-				g.qOrder = append(g.qOrder, e.dst)
+		for _, e := range g.stages[i].Entries() {
+			if g.qLen[e.Key.slot] == 0 {
+				g.qOrder = append(g.qOrder, e.Key)
 			}
-			g.qLen[e.dst.slot]++
+			g.qLen[e.Key.slot]++
 			n++
 		}
 	}
@@ -519,10 +462,10 @@ func (g *Graph) enqueueStages() {
 	}
 	g.qMsg, g.qSim = make([]Msg, n), make([]float64, n)
 	for i := range g.stages {
-		for _, e := range g.stages[i].entries {
-			j := g.qStart[e.dst.slot] + g.qLen[e.dst.slot]
-			g.qMsg[j], g.qSim[j] = e.msg, e.simBytes
-			g.qLen[e.dst.slot]++
+		for _, e := range g.stages[i].Entries() {
+			j := g.qStart[e.Key.slot] + g.qLen[e.Key.slot]
+			g.qMsg[j], g.qSim[j] = e.Val.msg, e.Val.simBytes
+			g.qLen[e.Key.slot]++
 		}
 	}
 }

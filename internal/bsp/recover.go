@@ -14,23 +14,13 @@ import (
 // checkpointing off — how the paper's Giraph deployment ran — recovery is
 // a full restart: reload the graph and replay every superstep.
 
-// recoveredSec sums the recovery time charged for faults observed so far,
-// so superstep timings can exclude it.
-func recoveredSec(c *sim.Cluster) float64 {
-	var s float64
-	for _, f := range c.Faults() {
-		s += f.RecoverySec
-	}
-	return s
-}
-
 // checkpoint writes every machine's resident graph state to replicated
 // storage: one local disk write, one copy shipped to a peer and written
 // there (modelled as a second local-rate write).
 func (g *Graph) checkpoint() error {
 	c := g.c
 	cost := c.Config().Cost
-	start, rec0 := c.Now(), recoveredSec(c)
+	start, rec0 := c.Now(), c.RecoveredSec()
 	err := c.RunPhaseF(fmt.Sprintf("bsp-checkpoint-%d", g.step), func(machine int, m *sim.Meter) error {
 		bytes := g.machineStateBytes(machine)
 		m.ChargeSec(2 * bytes / cost.DiskBytesPerSec)
@@ -45,7 +35,7 @@ func (g *Graph) checkpoint() error {
 	}
 	g.haveCkpt = true
 	// Restoring reads back what writing wrote, at about the same cost.
-	g.ckptRestoreSec = (c.Now() - start) - (recoveredSec(c) - rec0)
+	g.ckptRestoreSec = (c.Now() - start) - (c.RecoveredSec() - rec0)
 	g.stepSecs = g.stepSecs[:0]
 	return nil
 }

@@ -13,7 +13,6 @@ package dataflow
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -338,35 +337,4 @@ func MapPartitions[T, U any](r *RDD[T], sizer func(U) int64, f func(m *sim.Meter
 type Pair[K comparable, V any] struct {
 	K K
 	V V
-}
-
-// hashKey deterministically hashes a comparable key.
-func hashKey[K comparable](k K) uint64 {
-	switch v := any(k).(type) {
-	case int:
-		return mix64(uint64(v))
-	case int64:
-		return mix64(uint64(v))
-	case int32:
-		return mix64(uint64(v))
-	case uint64:
-		return mix64(v)
-	case string:
-		h := fnv.New64a()
-		h.Write([]byte(v))
-		return h.Sum64()
-	default:
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%v", v)
-		return h.Sum64()
-	}
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }

@@ -1,7 +1,8 @@
 package dataflow
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mlbench/internal/ordmap"
 	"mlbench/internal/sim"
@@ -16,24 +17,20 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(m *sim.Meter, a
 		ctx: r.ctx, parts: r.parts, scaled: r.scaled, sizer: r.sizer,
 		name: r.name + ".reduceByKey", parents: []rddBase{r},
 	}
-	out.wide = func() error {
-		return runShuffle(r, out,
-			func(m *sim.Meter, dst *ordmap.Map[K, V], kv Pair[K, V]) {
-				dst.Merge(kv.K, kv.V, func(old, new V) V { return f(m, old, new) })
-			},
-			func(m *sim.Meter, a, b V) V { return f(m, a, b) },
-			func(k K, a V) int64 { return r.sizer(Pair[K, V]{K: k, V: a}) },
-			pairsOf[K, V],
-		)
-	}
+	out.wide = func() error { return runShuffle(r, out, f) }
 	return out
 }
 
-// pairsOf returns the map's entries in insertion order.
-func pairsOf[K comparable, V any](o *ordmap.Map[K, V]) []Pair[K, V] {
-	out := make([]Pair[K, V], 0, o.Len())
-	o.Each(func(k K, v V) { out = append(out, Pair[K, V]{K: k, V: v}) })
-	return out
+// combineInto folds v into k's value in dst with f, or inserts it. h is
+// k's routing hash.
+func combineInto[K comparable, V any](m *sim.Meter, dst *ordmap.Map[K, V], k K, h uint64, v V, f func(m *sim.Meter, a, b V) V) {
+	i, found := dst.Put(k, h)
+	e := &dst.Entries()[i]
+	if found {
+		e.Val = f(m, e.Val, v)
+	} else {
+		e.Val = v
+	}
 }
 
 // Two is an unkeyed tuple, used as the value type of Join results.
@@ -64,18 +61,12 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 			left  []V
 			right []W
 		}
-		reducers := make([]*ordmap.Map[K, *sides], out.parts)
+		reducers := make([]ordmap.Map[K, sides], out.parts)
 		bufBytes := make([]int64, out.parts)
-		for i := range reducers {
-			reducers[i] = ordmap.New[K, *sides]()
-		}
-		getSides := func(o *ordmap.Map[K, *sides], k K) *sides {
-			s, ok := o.Get(k)
-			if !ok {
-				s = &sides{}
-				o.Set(k, s)
-			}
-			return s
+		sidesOf := func(k K, h uint64) *sides {
+			o := &reducers[h%uint64(out.parts)]
+			i, _ := o.Put(k, h)
+			return &o.Entries()[i].Val
 		}
 		scaleIf := func(bytes int64, scaled bool) int64 {
 			if scaled {
@@ -87,28 +78,32 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 		// contents are computed (and shipping charged) task-locally; the
 		// shared reducer buffers are filled in the Merge hooks, in
 		// partition order, keeping them deterministic under host
-		// parallelism.
+		// parallelism. Each record's key is hashed once, in its map task.
 		leftParts := make([][]Pair[K, V], a.parts)
+		leftHashes := make([][]uint64, a.parts)
 		leftTasks := a.partTasks(func(p int, m *sim.Meter) error {
 			in, err := a.partition(p, m)
 			if err != nil {
 				return err
 			}
 			a.chargeTuples(m, len(in))
-			for _, kv := range in {
-				t := int(hashKey(kv.K) % uint64(out.parts))
+			hs := make([]uint64, len(in))
+			for i, kv := range in {
+				hs[i] = ordmap.Hash(kv.K)
+				t := int(hs[i] % uint64(out.parts))
 				shipBytes(m, a.scaled, a.ctx.machineFor(t), a.sizer(kv))
 			}
-			leftParts[p] = in
+			leftParts[p], leftHashes[p] = in, hs
 			return nil
 		})
 		for i := range leftTasks {
 			p := i
 			leftTasks[p].Merge = func(m *sim.Meter) error {
-				for _, kv := range leftParts[p] {
-					t := int(hashKey(kv.K) % uint64(out.parts))
-					bufBytes[t] += scaleIf(a.sizer(kv), a.scaled)
-					getSides(reducers[t], kv.K).left = append(getSides(reducers[t], kv.K).left, kv.V)
+				for i, kv := range leftParts[p] {
+					h := leftHashes[p][i]
+					bufBytes[h%uint64(out.parts)] += scaleIf(a.sizer(kv), a.scaled)
+					s := sidesOf(kv.K, h)
+					s.left = append(s.left, kv.V)
 				}
 				return nil
 			}
@@ -118,26 +113,30 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 			return err
 		}
 		rightParts := make([][]Pair[K, W], b.parts)
+		rightHashes := make([][]uint64, b.parts)
 		rightTasks := b.partTasks(func(p int, m *sim.Meter) error {
 			in, err := b.partition(p, m)
 			if err != nil {
 				return err
 			}
 			b.chargeTuples(m, len(in))
-			for _, kv := range in {
-				t := int(hashKey(kv.K) % uint64(out.parts))
+			hs := make([]uint64, len(in))
+			for i, kv := range in {
+				hs[i] = ordmap.Hash(kv.K)
+				t := int(hs[i] % uint64(out.parts))
 				shipBytes(m, b.scaled, b.ctx.machineFor(t), b.sizer(kv))
 			}
-			rightParts[p] = in
+			rightParts[p], rightHashes[p] = in, hs
 			return nil
 		})
 		for i := range rightTasks {
 			p := i
 			rightTasks[p].Merge = func(m *sim.Meter) error {
-				for _, kv := range rightParts[p] {
-					t := int(hashKey(kv.K) % uint64(out.parts))
-					bufBytes[t] += scaleIf(b.sizer(kv), b.scaled)
-					getSides(reducers[t], kv.K).right = append(getSides(reducers[t], kv.K).right, kv.V)
+				for i, kv := range rightParts[p] {
+					h := rightHashes[p][i]
+					bufBytes[h%uint64(out.parts)] += scaleIf(b.sizer(kv), b.scaled)
+					s := sidesOf(kv.K, h)
+					s.right = append(s.right, kv.V)
 				}
 				return nil
 			}
@@ -155,13 +154,13 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 			}
 			defer m.Machine().Free(bufBytes[p])
 			var res []Pair[K, Two[V, W]]
-			reducers[p].Each(func(k K, s *sides) {
-				for _, v := range s.left {
-					for _, w := range s.right {
-						res = append(res, Pair[K, Two[V, W]]{K: k, V: Two[V, W]{A: v, B: w}})
+			for _, e := range reducers[p].Entries() {
+				for _, v := range e.Val.left {
+					for _, w := range e.Val.right {
+						res = append(res, Pair[K, Two[V, W]]{K: e.Key, V: Two[V, W]{A: v, B: w}})
 					}
 				}
-			})
+			}
 			out.chargeTuples(m, len(res))
 			mat[p] = res
 			return nil
@@ -176,67 +175,57 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]]) *RDD[P
 	return out
 }
 
-// runShuffle is the common two-phase shuffle: map-side fold into per-target
-// ordered accumulator maps with network and shuffle-file charging, then a
-// reduce-side merge with transient memory accounting.
-func runShuffle[K comparable, V, A, O any](
-	in *RDD[Pair[K, V]],
-	out *RDD[O],
-	fold func(m *sim.Meter, dst *ordmap.Map[K, A], kv Pair[K, V]),
-	mergeAcc func(m *sim.Meter, a, b A) A,
-	accBytes func(K, A) int64,
-	finish func(*ordmap.Map[K, A]) []O,
-) error {
+// runShuffle is ReduceByKey's two-phase shuffle: map-side combine into
+// per-target ordered maps with network and shuffle-file charging, then a
+// reduce-side merge with transient memory accounting. Each record's key
+// is hashed once: the hash that picks its target also places it in the
+// target's maps.
+func runShuffle[K comparable, V any](in, out *RDD[Pair[K, V]], f func(m *sim.Meter, a, b V) V) error {
 	c := in.ctx.cluster
 	cost := c.Config().Cost
 	t0 := c.Now()
 	c.AdvanceNamed("spark-job-launch", cost.SparkJobLaunch)
 
-	reducers := make([]*ordmap.Map[K, A], out.parts)
+	reducers := make([]ordmap.Map[K, V], out.parts)
 	partialBytes := make([]int64, out.parts) // pre-merge resident partials per reducer
-	for i := range reducers {
-		reducers[i] = ordmap.New[K, A]()
-	}
 	// Map side: compute input partitions, combine locally per target, ship.
 	// The per-target combiner maps stay task-local; folding them into the
 	// shared reducer maps happens in the Merge hook, sequentially in
 	// partition order, so the reducers' key order (and any cost charged by
-	// mergeAcc collisions) is identical at every host worker count.
+	// combining collisions) is identical at every host worker count.
 	//
 	// The task-local buckets are sparse: a map-side combine touches at
 	// most min(|partition|, |key space|) targets, while a dense
 	// per-target array per task would cost O(parts^2) host memory across
 	// the phase — ruinous at the 80,000 partitions of a 10,000-machine
-	// sweep. Targets are visited in ascending order (sorted keys) so the
-	// ship/merge sequence is bit-identical to the dense layout's.
-	locals := make([]*ordmap.Map[int, *ordmap.Map[K, A]], in.parts)
+	// sweep. Targets are visited in ascending order so the ship/merge
+	// sequence is bit-identical to the dense layout's.
+	locals := make([][]ordmap.Entry[int, ordmap.Map[K, V]], in.parts)
 	mapTasks := in.partTasks(func(p int, m *sim.Meter) error {
 		data, err := in.partition(p, m)
 		if err != nil {
 			return err
 		}
 		in.chargeTuples(m, len(data))
-		local := ordmap.New[int, *ordmap.Map[K, A]]()
+		var local ordmap.Map[int, ordmap.Map[K, V]]
 		for _, kv := range data {
-			t := int(hashKey(kv.K) % uint64(out.parts))
-			l, ok := local.Ref(t)
-			if !ok {
-				*l = ordmap.New[K, A]()
-			}
-			fold(m, *l, kv)
+			h := ordmap.Hash(kv.K)
+			l, _ := local.Ref(int(h % uint64(out.parts)))
+			combineInto(m, l, kv.K, h, kv.V, f)
 		}
+		buckets := slices.Clone(local.Entries())
+		slices.SortFunc(buckets, func(x, y ordmap.Entry[int, ordmap.Map[K, V]]) int { return cmp.Compare(x.Key, y.Key) })
 		var wrote int64
-		for _, t := range sortedTargets(local) {
-			l, _ := local.Get(t)
-			dstMachine := in.ctx.machineFor(t)
-			l.Each(func(k K, a A) {
-				b := accBytes(k, a)
-				wrote += b
+		for _, b := range buckets {
+			dstMachine := in.ctx.machineFor(b.Key)
+			for _, e := range b.Val.Entries() {
+				n := in.sizer(Pair[K, V]{K: e.Key, V: e.Val})
+				wrote += n
 				// Post-combine partials have the output's cardinality:
 				// model-sized aggregations ship unscaled partials even
 				// when the input was data-proportional.
-				shipBytes(m, out.scaled, dstMachine, b)
-			})
+				shipBytes(m, out.scaled, dstMachine, n)
+			}
 		}
 		// Shuffle files are written to local disk before shipping.
 		diskBytes := float64(wrote)
@@ -244,18 +233,17 @@ func runShuffle[K comparable, V, A, O any](
 			diskBytes *= c.Scale()
 		}
 		m.ChargeSec(diskBytes / cost.DiskBytesPerSec)
-		locals[p] = local
+		locals[p] = buckets
 		return nil
 	})
 	for i := range mapTasks {
 		p := i
 		mapTasks[p].Merge = func(m *sim.Meter) error {
-			for _, t := range sortedTargets(locals[p]) {
-				l, _ := locals[p].Get(t)
-				l.Each(func(k K, a A) {
-					partialBytes[t] += accBytes(k, a)
-					reducers[t].Merge(k, a, func(old, new A) A { return mergeAcc(m, old, new) })
-				})
+			for _, b := range locals[p] {
+				for _, e := range b.Val.Entries() {
+					partialBytes[b.Key] += in.sizer(Pair[K, V]{K: e.Key, V: e.Val})
+					combineInto(m, &reducers[b.Key], e.Key, e.Hash, e.Val, f)
+				}
 			}
 			locals[p] = nil
 			return nil
@@ -266,10 +254,10 @@ func runShuffle[K comparable, V, A, O any](
 		return err
 	}
 	// Reduce side: transient buffer + finish.
-	mat := make([][]O, out.parts)
+	mat := make([][]Pair[K, V], out.parts)
 	err = c.RunPhase("shuffle-reduce "+out.name, tasksFor(out.ctx, out.parts, func(p int, m *sim.Meter) error {
 		m.SetProfile(out.ctx.profile)
-		red := reducers[p]
+		red := reducers[p].Entries()
 		// The reducer buffers every received partial before merging, so
 		// its footprint is the pre-merge volume (one partial per sending
 		// partition per key), not the merged result.
@@ -282,11 +270,15 @@ func runShuffle[K comparable, V, A, O any](
 		}
 		defer m.Machine().Free(bufBytes)
 		if out.scaled {
-			m.ChargeTuples(red.Len())
+			m.ChargeTuples(len(red))
 		} else {
-			m.ChargeTuplesAbs(float64(red.Len()))
+			m.ChargeTuplesAbs(float64(len(red)))
 		}
-		mat[p] = finish(red)
+		res := make([]Pair[K, V], len(red))
+		for i, e := range red {
+			res[i] = Pair[K, V]{K: e.Key, V: e.Val}
+		}
+		mat[p] = res
 		return nil
 	}))
 	if err != nil {
@@ -295,15 +287,6 @@ func runShuffle[K comparable, V, A, O any](
 	out.mat, out.haveMat = mat, true
 	out.noteMaterialized(c.Now() - t0)
 	return nil
-}
-
-// sortedTargets returns a bucket map's target partitions in ascending
-// order, so sparse-bucket iteration charges in the same sequence a dense
-// per-target array would.
-func sortedTargets[V any](m *ordmap.Map[int, V]) []int {
-	ts := append([]int(nil), m.Keys()...)
-	sort.Ints(ts)
-	return ts
 }
 
 // shipBytes records a shuffle transfer, scaled if the RDD is

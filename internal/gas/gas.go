@@ -21,7 +21,6 @@ package gas
 import (
 	"fmt"
 
-	"mlbench/internal/ordmap"
 	"mlbench/internal/sim"
 )
 
@@ -72,7 +71,7 @@ type Program interface {
 // Graph is a distributed graph bound to a cluster.
 type Graph struct {
 	c        *sim.Cluster
-	verts    *ordmap.Map[VertexID, *Vertex]
+	verts    map[VertexID]*Vertex
 	byMach   [][]*Vertex
 	edges    EdgeSet
 	machines int // effective machines after the boot clamp
@@ -101,7 +100,7 @@ func NewGraph(c *sim.Cluster, edges EdgeSet) *Graph {
 	}
 	g := &Graph{
 		c:         c,
-		verts:     ordmap.New[VertexID, *Vertex](),
+		verts:     map[VertexID]*Vertex{},
 		byMach:    make([][]*Vertex, machines),
 		edges:     edges,
 		machines:  machines,
@@ -137,23 +136,20 @@ func (g *Graph) AddVertex(id VertexID, data any, bytes int64, scaled bool, machi
 	if g.loaded {
 		panic("gas: AddVertex after Load")
 	}
-	if _, dup := g.verts.Get(id); dup {
+	if _, dup := g.verts[id]; dup {
 		panic(fmt.Sprintf("gas: AddVertex of existing vertex %d", id))
 	}
 	if machine < 0 {
 		machine = int(uint64(id*2654435761) % uint64(g.machines))
 	}
 	v := &Vertex{ID: id, Data: data, Bytes: bytes, Scaled: scaled, machine: machine}
-	g.verts.Set(id, v)
+	g.verts[id] = v
 	g.byMach[machine] = append(g.byMach[machine], v)
 	return v
 }
 
 // Vertex returns the vertex with the given id, or nil.
-func (g *Graph) Vertex(id VertexID) *Vertex {
-	v, _ := g.verts.Get(id)
-	return v
-}
+func (g *Graph) Vertex(id VertexID) *Vertex { return g.verts[id] }
 
 // Load finalizes the graph: vertex state is charged against machine
 // memory, and loading time is charged per vertex.
@@ -161,7 +157,7 @@ func (g *Graph) Load() error {
 	if g.loaded {
 		return nil
 	}
-	t0, rec0 := g.c.Now(), recoveredSec(g.c)
+	t0, rec0 := g.c.Now(), g.c.RecoveredSec()
 	err := g.c.RunPhaseF("gas-load", func(machine int, m *sim.Meter) error {
 		if machine >= g.machines {
 			return nil
@@ -186,7 +182,7 @@ func (g *Graph) Load() error {
 		return err
 	}
 	g.loaded = true
-	g.loadSec = (g.c.Now() - t0) - (recoveredSec(g.c) - rec0)
+	g.loadSec = (g.c.Now() - t0) - (g.c.RecoveredSec() - rec0)
 	return nil
 }
 
@@ -202,7 +198,7 @@ func (g *Graph) RunRound(prog Program, active []VertexID) error {
 			return err
 		}
 	}
-	t0, rec0 := g.c.Now(), recoveredSec(g.c)
+	t0, rec0 := g.c.Now(), g.c.RecoveredSec()
 	g.c.AdvanceNamed("gas-round-launch", g.c.Config().Cost.GASRound)
 
 	actByMach := make([][]*Vertex, g.machines)
@@ -313,7 +309,7 @@ func (g *Graph) RunRound(prog Program, active []VertexID) error {
 	if err == nil {
 		// Record the round's duration (minus any recovery settled within
 		// it) as replay basis for snapshot restore.
-		g.roundSecs = append(g.roundSecs, (g.c.Now()-t0)-(recoveredSec(g.c)-rec0))
+		g.roundSecs = append(g.roundSecs, (g.c.Now()-t0)-(g.c.RecoveredSec()-rec0))
 		g.rounds++
 	}
 	return err
@@ -337,13 +333,13 @@ func (g *Graph) chargeGhostTraffic(prog Program, actByMach [][]*Vertex) error {
 	}
 	var flows []flow
 	for dst := 0; dst < g.machines; dst++ {
-		needed := ordmap.New[VertexID, bool]()
+		needed := map[VertexID]bool{}
 		for _, v := range actByMach[dst] {
 			for _, nid := range g.edges.Neighbors(v.ID) {
 				nbr := g.Vertex(nid)
 				if nbr != nil && nbr.machine != dst {
-					if _, seen := needed.Get(nid); !seen {
-						needed.Set(nid, true)
+					if !needed[nid] {
+						needed[nid] = true
 						flows = append(flows, flow{src: nbr.machine, dst: dst, bytes: float64(prog.ViewBytes(nbr))})
 					}
 				}

@@ -16,16 +16,6 @@ import (
 // survivors). With snapshots off — how the paper's GraphLab deployment
 // ran — a crash means restarting the job: reload plus full replay.
 
-// recoveredSec sums the recovery time charged for faults observed so far,
-// so round timings can exclude it.
-func recoveredSec(c *sim.Cluster) float64 {
-	var s float64
-	for _, f := range c.Faults() {
-		s += f.RecoverySec
-	}
-	return s
-}
-
 // machineStateBytes is the simulated resident vertex state on one machine.
 func (g *Graph) machineStateBytes(machine int) float64 {
 	var bytes float64

@@ -202,6 +202,17 @@ func (s *Stats) Merge(o *Stats) {
 	}
 }
 
+// Scale multiplies the statistics by scale: the engines scale real-data
+// statistics to paper scale so posterior concentration matches the
+// paper's data volumes.
+func (s *Stats) Scale(scale float64) {
+	for k := 0; k < s.K; k++ {
+		s.N[k] *= scale
+		s.Sum[k].ScaleInPlace(scale)
+		s.SumSq[k].ScaleInPlace(scale)
+	}
+}
+
 // scatterAbout returns sum_j (x_j - mu)(x_j - mu)^T for cluster k,
 // reconstructed from the raw moments.
 func (s *Stats) scatterAbout(k int, mu linalg.Vec) *linalg.Mat {

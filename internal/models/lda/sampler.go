@@ -99,15 +99,14 @@ func (m *Model) resampleZAlias(rng *randgen.RNG, d *Doc) {
 	}
 }
 
-func addInt(old, delta int) int { return old + delta }
-
 // zCounts returns the document's sparse topic counts, building them from
 // Z on first use. The Doc is single-owner, so lazy build cannot race.
 func (d *Doc) zCounts() *ordmap.Map[int, int] {
 	if d.zc == nil {
 		d.zc = ordmap.New[int, int]()
 		for _, z := range d.Z {
-			d.zc.Merge(z, 1, addInt)
+			n, _ := d.zc.Ref(z)
+			*n++
 		}
 	}
 	return d.zc
@@ -115,8 +114,10 @@ func (d *Doc) zCounts() *ordmap.Map[int, int] {
 
 // moveZ retargets token i and keeps the sparse counts in sync.
 func (d *Doc) moveZ(i, from, to int) {
-	d.zc.Merge(from, -1, addInt)
-	d.zc.Merge(to, 1, addInt)
+	n, _ := d.zc.Ref(from)
+	*n--
+	n, _ = d.zc.Ref(to)
+	*n++
 	d.Z[i] = to
 }
 

@@ -34,6 +34,18 @@ func NewEngine(c *sim.Cluster) *Engine {
 	return e
 }
 
+// ReplicateModel charges shipping model tables of the given size to every
+// machine: SimSQL replicates small relations for VG parameterization.
+func (e *Engine) ReplicateModel(bytes int64) error {
+	n := e.machines()
+	return e.c.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
+		if n > 1 {
+			m.SendModel((machine+1)%n, float64(bytes))
+		}
+		return nil
+	})
+}
+
 // Run executes the plan and returns the materialized result table.
 func (e *Engine) Run(name string, p Plan) (*Table, error) {
 	t, err := p.run(e)
@@ -219,21 +231,21 @@ func (n *hashJoinNode) run(e *Engine) (*Table, error) {
 		// key entry, so byKey[off[k]:off[k+1]] holds entry k's rows in row
 		// order.
 		lp := lParts[machine]
-		var build keyIndex
+		var build ordmap.Map[keyRef, struct{}]
 		ents := make([]int32, len(lp))
 		for i, t := range lp {
 			k := keyOf(t, n.lCols)
-			ent, _ := build.insert(k, k.hash())
+			ent, _ := build.Put(k, k.hash())
 			ents[i] = int32(ent)
 		}
-		off := make([]int32, build.len()+1)
+		off := make([]int32, build.Len()+1)
 		for _, ent := range ents {
 			off[ent+1]++
 		}
-		for ent := range build.len() {
+		for ent := range build.Len() {
 			off[ent+1] += off[ent]
 		}
-		fill := append([]int32(nil), off[:build.len()]...)
+		fill := append([]int32(nil), off[:build.Len()]...)
 		byKey := make([]Tuple, len(lp))
 		for i, ent := range ents {
 			byKey[fill[ent]] = lp[i]
@@ -246,7 +258,7 @@ func (n *hashJoinNode) run(e *Engine) (*Table, error) {
 		var tuples carver[float64]
 		for _, t := range rParts[machine] {
 			k := keyOf(t, n.rCols)
-			if ent, ok := build.find(k, k.hash()); ok {
+			if ent, ok := build.Find(k, k.hash()); ok {
 				for _, lt := range byKey[off[ent]:off[ent+1]] {
 					joined := Tuple(tuples.take(len(lt) + len(t)))
 					copy(joined, lt)
@@ -449,13 +461,13 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 		// GROUP BY absorbs its input through the tight combiner loop.
 		chargeCombine(m, e.c, float64(nRows), in.Scaled)
 		chargeDisk(m, e.c, nRows, width, in.Scaled)
-		var idx keyIndex
+		var idx ordmap.Map[keyRef, struct{}]
 		var arena aggArena
 		var local []*aggState // by key entry, in first-seen order
 		in.EachRow(machine, func(t Tuple) {
 			k := keyOf(t, n.keyCols)
 			h := k.hash()
-			ent, ok := idx.insert(k, h)
+			ent, ok := idx.Put(k, h)
 			if !ok {
 				local = append(local, arena.newState(k, h, len(n.aggs)))
 			}
@@ -492,10 +504,10 @@ func (n *groupAggNode) run(e *Engine) (*Table, error) {
 	err = e.c.RunPhaseF("group-reduce", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileSQLEngine)
 		// The first partial of each group becomes its accumulator.
-		var idx keyIndex
+		var idx ordmap.Map[keyRef, struct{}]
 		var merged []*aggState
 		for _, st := range partials[machine] {
-			if ent, ok := idx.insert(st.k, st.h); ok {
+			if ent, ok := idx.Put(st.k, st.h); ok {
 				merged[ent].merge(st, n.aggs)
 			} else {
 				merged = append(merged, st)

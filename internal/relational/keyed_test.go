@@ -174,41 +174,6 @@ func clip(s string) string {
 	return s
 }
 
-// Every key hashing alike puts all of them on one probe chain: lookups
-// must still find each key, growth must keep them, and entry numbers
-// must follow first insertion.
-func TestKeyIndexSurvivesTotalCollision(t *testing.T) {
-	for _, h := range []uint64{0, 1 << 63, 0x9e3779b97f4a7c15} {
-		var x keyIndex
-		var keys []keyRef
-		for i := 0; i < 300; i++ {
-			k := keyOf(T(float64(i%150), float64(i/150)), []int{0, 1})
-			if e, ok := x.insert(k, h); ok || e != i {
-				t.Fatalf("insert of new key %d = %d, %v", i, e, ok)
-			}
-			keys = append(keys, k)
-		}
-		for i, k := range keys {
-			if e, ok := x.insert(k, h); !ok || e != i {
-				t.Errorf("re-insert of key %d = %d, %v", i, e, ok)
-			}
-			if e, ok := x.find(k, h); !ok || e != i {
-				t.Errorf("find of key %d = %d, %v", i, e, ok)
-			}
-		}
-		if _, ok := x.find(keyOf(T(-1), []int{0}), h); ok {
-			t.Error("find of an absent key succeeded")
-		}
-		if x.len() != len(keys) {
-			t.Errorf("len = %d, want %d", x.len(), len(keys))
-		}
-	}
-	var empty keyIndex
-	if _, ok := empty.find(keyRef{}, 0); ok {
-		t.Error("find in an empty index succeeded")
-	}
-}
-
 // Carved pieces never share storage and appending to one copies it.
 func TestCarverPiecesAreIndependent(t *testing.T) {
 	var c carver[float64]

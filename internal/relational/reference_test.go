@@ -5,8 +5,9 @@ import (
 	"mlbench/internal/sim"
 )
 
-// The keyed operators as they were before keyIndex: ordmap-keyed
-// buckets, groups and build tables, one aggState allocation per group.
+// The keyed operators in their first form: buckets, groups and build
+// tables looked up by key through ordmap's default hash, one aggState
+// allocation per group.
 // keyed_test.go checks the engine against them.
 
 func refRepartition(e *Engine, name string, in *Table, keyCols []int) ([][]Tuple, error) {

@@ -81,6 +81,16 @@ func (c *Cluster) SetStragglerCap(cap float64) { c.stragglerCap = cap }
 // Faults returns every fault observed so far, in observation order.
 func (c *Cluster) Faults() []FaultInfo { return c.faultLog }
 
+// RecoveredSec sums the recovery time charged for faults observed so far,
+// so an engine's timings of its own steps can exclude it.
+func (c *Cluster) RecoveredSec() float64 {
+	var s float64
+	for _, f := range c.faultLog {
+		s += f.RecoverySec
+	}
+	return s
+}
+
 // initFaults splits the configured schedule into the crash queue and the
 // straggle windows.
 func (c *Cluster) initFaults(s *faults.Schedule) {

@@ -176,8 +176,11 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 						ctx.SetShared("model", params, params.Bytes())
 					}
 				} else {
+					// Every data vertex gets the same payload, which nothing
+					// mutates: build it once per cluster vertex.
+					msg := &bspModelMsg{k: d.k, mu: params.Mu[d.k]}
 					for _, dst := range dataIDs {
-						ctx.Send(dst, &bspModelMsg{k: d.k, mu: params.Mu[d.k]}, mBytes)
+						ctx.Send(dst, msg, mBytes)
 					}
 				}
 			}
@@ -241,7 +244,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			return res, fmt.Errorf("gmm giraph iter %d: gather superstep: %w", iter, err)
 		}
 		if !cfg.SuperVertex {
-			scaleStats(gathered, cl.Scale())
+			gathered.Scale(cl.Scale())
 		}
 		err = cl.RunDriver("gmm-giraph-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileJava)

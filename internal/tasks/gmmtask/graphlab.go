@@ -314,7 +314,7 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			return res, fmt.Errorf("gmm graphlab iter %d: no statistics gathered", iter)
 		}
 		stats := st.stats
-		scaleStats(stats, scale)
+		stats.Scale(scale)
 		if err := cl.RunDriver("gmm-gl-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)

@@ -118,7 +118,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 			},
 			Apply: func(m *sim.Meter) error {
 				m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)
-				scaleStats(gathered, cl.Scale())
+				gathered.Scale(cl.Scale())
 				if err := gmm.UpdateParams(rng, h, params, gathered); err != nil {
 					return err
 				}

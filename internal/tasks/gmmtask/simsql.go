@@ -174,7 +174,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		// The model tables are replicated to every machine for VG
 		// parameterization.
-		if err := replicateModel(cl, params.Bytes()); err != nil {
+		if err := eng.ReplicateModel(params.Bytes()); err != nil {
 			return res, err
 		}
 		stats := gmm.NewStats(cfg.K, cfg.D)
@@ -237,7 +237,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				stats.SumSq[t.Int(0)].Set(int(t.Int(1)), int(t.Int(2)), t.Float(3))
 			}
 		}
-		scaleStats(stats, cl.Scale())
+		stats.Scale(cl.Scale())
 		// The three recursive model tables (means, covariances,
 		// probabilities) are three more MR jobs whose VG work is small.
 		cl.Advance(3 * cl.Config().Cost.MRJobLaunch)
@@ -270,16 +270,4 @@ func fillStats(stats *gmm.Stats, rows []relational.Tuple) {
 			stats.SumSq[k].Set(int(d1), int(d2), t.Float(3))
 		}
 	}
-}
-
-// replicateModel charges shipping the current model tables to every
-// machine (SimSQL replicates small relations for VG parameterization).
-func replicateModel(cl *sim.Cluster, bytes int64) error {
-	n := cl.NumMachines()
-	return cl.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
-		if n > 1 {
-			m.SendModel((machine+1)%n, float64(bytes))
-		}
-		return nil
-	})
 }

@@ -186,7 +186,7 @@ func RunSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Result, e
 				p.V.sum.AddTo(stats.Sum[p.K])
 				stats.SumSq[p.K].AddInPlace(p.V.sq)
 			}
-			scaleStats(stats, cl.Scale())
+			stats.Scale(cl.Scale())
 			return gmm.UpdateParams(driverRNG, h, params, stats)
 		})
 		if err != nil {
@@ -198,16 +198,6 @@ func RunSpark(cl *sim.Cluster, cfg Config, profile sim.Profile) (*task.Result, e
 	}
 	recordQuality(cl, cfg, params, res)
 	return res, nil
-}
-
-// scaleStats converts real-data statistics to paper scale so posterior
-// concentration matches the paper's data volumes.
-func scaleStats(s *gmm.Stats, scale float64) {
-	for k := 0; k < s.K; k++ {
-		s.N[k] *= scale
-		s.Sum[k].ScaleInPlace(scale)
-		s.SumSq[k].ScaleInPlace(scale)
-	}
 }
 
 // chainPoint is the per-iteration quality statistic shared by all five

@@ -129,7 +129,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 	res.InitSec = sw.Lap()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := replicateModel(cl, modelBytes(cfg.K, cfg.V)); err != nil {
+		if err := eng.ReplicateModel(modelBytes(cfg.K, cfg.V)); err != nil {
 			return res, err
 		}
 		var newStates *relational.Table
@@ -336,15 +336,4 @@ func simsqlCounts(eng *relational.Engine, cfg Config, t *relational.Table) (*hmm
 		counts.Trans[r.Int(0)][r.Int(1)] += r.Float(2)
 	}
 	return counts, nil
-}
-
-// replicateModel charges shipping the model tables to every machine.
-func replicateModel(cl *sim.Cluster, bytes int64) error {
-	n := cl.NumMachines()
-	return cl.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
-		if n > 1 {
-			m.SendModel((machine+1)%n, float64(bytes))
-		}
-		return nil
-	})
 }

@@ -203,7 +203,7 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			return res, fmt.Errorf("impute graphlab iter %d: no statistics", iter)
 		}
 		stats := st.stats
-		scaleStats(stats, cl.Scale())
+		stats.Scale(cl.Scale())
 		if err := cl.RunDriver("impute-gl-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)
@@ -343,7 +343,7 @@ func RunGiraph(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("impute giraph iter %d: gather: %w", iter, err)
 		}
-		scaleStats(gathered, cl.Scale())
+		gathered.Scale(cl.Scale())
 		if err := cl.RunDriver("impute-giraph-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileJava)
 			m.ChargeLinalgAbs(1, gmm.UpdateFlops(cfg.K, cfg.D), cfg.D)

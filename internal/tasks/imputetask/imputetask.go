@@ -177,15 +177,6 @@ func pointWorkFlops(k, d int) float64 {
 	return impute.Flops(d) + gmm.MembershipFlops(k, d) + float64(d*d)
 }
 
-// scaleStats multiplies statistics to paper scale.
-func scaleStats(s *gmm.Stats, scale float64) {
-	for k := 0; k < s.K; k++ {
-		s.N[k] *= scale
-		s.Sum[k].ScaleInPlace(scale)
-		s.SumSq[k].ScaleInPlace(scale)
-	}
-}
-
 // recordQuality stores the RMSE of imputed values against the hidden
 // truth on machine-0 points, and the mean-imputation baseline RMSE for
 // reference. Only partially observed points are scored: with the paper's

@@ -101,7 +101,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	res.InitSec = sw.Lap()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := replicateModel(cl, mod.params.Bytes()); err != nil {
+		if err := eng.ReplicateModel(mod.params.Bytes()); err != nil {
 			return res, err
 		}
 		// Extra step: the imputation VG rewrites the data relation.
@@ -144,7 +144,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		for _, t := range sqT.Rows() {
 			stats.SumSq[t.Int(0)].Set(int(t.Int(1)), int(t.Int(2)), t.Float(3))
 		}
-		scaleStats(stats, cl.Scale())
+		stats.Scale(cl.Scale())
 		cl.Advance(3 * cost.MRJobLaunch)
 		if err := cl.RunDriver("impute-model-update", func(m *sim.Meter) error {
 			m.SetProfile(sim.ProfileCPP)
@@ -159,15 +159,4 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	mod.noteFailures(res)
 	recordQuality(allPoints[:machine0Count], res)
 	return res, nil
-}
-
-// replicateModel charges shipping the model to every machine.
-func replicateModel(cl *sim.Cluster, bytes int64) error {
-	n := cl.NumMachines()
-	return cl.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
-		if n > 1 {
-			m.SendModel((machine+1)%n, float64(bytes))
-		}
-		return nil
-	})
 }

@@ -127,7 +127,7 @@ func RunSpark(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 				p.V.sum.AddTo(stats.Sum[p.K])
 				stats.SumSq[p.K].AddInPlace(p.V.sq)
 			}
-			scaleStats(stats, cl.Scale())
+			stats.Scale(cl.Scale())
 			return mod.update(rng, h, stats)
 		})
 		if err != nil {

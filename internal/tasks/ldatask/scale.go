@@ -466,7 +466,7 @@ func RunScaleSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	res.InitSec = sw.Lap()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := scaleReplicateModel(cl, model.Bytes()); err != nil {
+		if err := eng.ReplicateModel(model.Bytes()); err != nil {
 			return res, err
 		}
 		vg := &scaleCountsVG{cfg: cfg, h: h, model: model, srcs: srcs}
@@ -490,18 +490,6 @@ func RunScaleSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	}
 	recordScaleQuality(cl, cfg, h, model, res)
 	return res, nil
-}
-
-// scaleReplicateModel charges shipping phi to every machine for VG
-// parameterization.
-func scaleReplicateModel(cl *sim.Cluster, bytes int64) error {
-	n := cl.NumMachines()
-	return cl.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
-		if n > 1 {
-			m.SendModel((machine+1)%n, float64(bytes))
-		}
-		return nil
-	})
 }
 
 // RunScalePS runs the streamed scale formulation on the parameter-server

@@ -104,7 +104,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 	res.InitSec = sw.Lap()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := replicateModel(cl, modelBytes(cfg.T, cfg.V)); err != nil {
+		if err := eng.ReplicateModel(modelBytes(cfg.T, cfg.V)); err != nil {
 			return res, err
 		}
 		counts := lda.NewWordCounts(cfg.T, cfg.V)
@@ -226,15 +226,4 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 	}
 	recordQuality(cfg, model, docs0, res)
 	return res, nil
-}
-
-// replicateModel charges shipping phi to every machine.
-func replicateModel(cl *sim.Cluster, bytes int64) error {
-	n := cl.NumMachines()
-	return cl.RunPhaseF("model-replicate", func(machine int, m *sim.Meter) error {
-		if n > 1 {
-			m.SendModel((machine+1)%n, float64(bytes))
-		}
-		return nil
-	})
 }
