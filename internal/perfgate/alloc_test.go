@@ -204,6 +204,47 @@ func TestGroupAggAllocCeiling(t *testing.T) {
 	}
 }
 
+// Select and project are views that stream their input, a generator may
+// yield one reused row, and GROUP BY keeps its groups' state in one flat
+// slice per task: a Project→GroupAgg pass over a 64k-row generator costs
+// allocations per machine, phase and buffer growth, not per row (376
+// here; the materialized projection and one carved state per group cost
+// 66,057).
+func TestStreamedViewAllocCeiling(t *testing.T) {
+	const rows, groups, machines = 65_536, 1024, 4
+	cfg := sim.DefaultConfig(machines)
+	cfg.HostWorkers = 1
+	eng := relational.NewEngine(sim.New(cfg))
+	per := rows / machines
+	in := &relational.Table{Name: "in", Schema: relational.Floats("k", "x"), Scaled: true, GenRows: []int{per, per, per, per}}
+	in.Gen = func(part int, yield func(relational.Tuple)) {
+		row := make(relational.Tuple, 2)
+		for i := part * per; i < (part+1)*per; i++ {
+			row[0], row[1] = float64(i*7919%groups), float64(i)
+			yield(row)
+		}
+	}
+	sq := relational.ProjectP(relational.ScanT(in), relational.Floats("k", "sq"), func(t, out relational.Tuple) {
+		out[0], out[1] = t[0], t[1]*t[1]
+	})
+	plan := relational.GroupAggP(sq, []int{0}, []relational.AggSpec{
+		{Kind: relational.AggSum, Col: 1, Name: "s"},
+		{Kind: relational.AggCount, Name: "n"},
+	})
+	run := func() {
+		out, err := eng.Run("g", plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := out.NumRows(); n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+	}
+	if a := testing.AllocsPerRun(3, run); a > 768 {
+		t.Errorf("projecting and grouping %d generated rows cost %.0f allocs, ceiling 768: rows or groups are being allocated one by one", rows, a)
+	}
+}
+
 // A superstep's sends are staged in a flat per-machine index whose
 // buffers the graph reuses, and queued in one flat array: 100k sends to
 // distinct vertices, and their delivery, cost a few allocations per

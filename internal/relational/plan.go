@@ -8,7 +8,8 @@ type Plan interface {
 	Schema() Schema
 	// scaled reports whether the output cardinality is data-proportional.
 	scaled() bool
-	// run executes the subtree and materializes the output table.
+	// run executes the subtree and returns its output table: a view
+	// for select and project, materialized for the wide operators.
 	run(e *Engine) (*Table, error)
 }
 
@@ -27,7 +28,8 @@ type selectNode struct {
 	pred func(Tuple) bool
 }
 
-// SelectP keeps rows for which pred is true.
+// SelectP keeps rows for which pred is true. pred must be pure: the
+// selection is re-run whenever its output is read.
 func SelectP(in Plan, pred func(Tuple) bool) Plan { return &selectNode{in: in, pred: pred} }
 
 func (n *selectNode) Schema() Schema { return n.in.Schema() }
@@ -37,12 +39,15 @@ func (n *selectNode) scaled() bool   { return n.in.scaled() }
 type projectNode struct {
 	in  Plan
 	out Schema
-	fn  func(Tuple) Tuple
+	fn  func(in, out Tuple)
 }
 
 // ProjectP applies fn to every row, producing rows with schema out.
-// It subsumes SQL projection and scalar expressions.
-func ProjectP(in Plan, out Schema, fn func(Tuple) Tuple) Plan {
+// It subsumes SQL projection and scalar expressions. fn writes every
+// column of out, a row of len(out) that the operator owns and reuses
+// from row to row; fn must be pure, since the projection is re-run
+// whenever its output is read.
+func ProjectP(in Plan, out Schema, fn func(in, out Tuple)) Plan {
 	return &projectNode{in: in, out: out, fn: fn}
 }
 

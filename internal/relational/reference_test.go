@@ -1,14 +1,109 @@
 package relational
 
 import (
+	"fmt"
+
 	"mlbench/internal/ordmap"
 	"mlbench/internal/sim"
 )
 
-// The keyed operators in their first form: buckets, groups and build
-// tables looked up by key through ordmap's default hash, one aggState
-// allocation per group.
+// The operators in their first form: select and project materialize
+// their output; buckets, groups and build tables are looked up by key
+// through ordmap's default hash, with one state allocation per group.
 // keyed_test.go checks the engine against them.
+
+// refRun executes p with the reference operators wherever there is one
+// (select, project, hash join, GROUP BY) and with the engine's own
+// operators, over materialized inputs, elsewhere.
+func refRun(e *Engine, p Plan) (*Table, error) {
+	switch n := p.(type) {
+	case *scanNode:
+		return n.t, nil
+	case *selectNode:
+		in, err := refRun(e, n.in)
+		if err != nil {
+			return nil, err
+		}
+		return refNarrowPhase(e, "select", in, n.Schema(), n.scaled(), func(t Tuple, out *[]Tuple) {
+			if n.pred(t) {
+				*out = append(*out, t)
+			}
+		})
+	case *projectNode:
+		in, err := refRun(e, n.in)
+		if err != nil {
+			return nil, err
+		}
+		return refNarrowPhase(e, "project", in, n.out, n.scaled(), func(t Tuple, out *[]Tuple) {
+			row := make(Tuple, len(n.out))
+			n.fn(t, row)
+			*out = append(*out, row)
+		})
+	case *modelNode:
+		in, err := refRun(e, n.in)
+		if err != nil {
+			return nil, err
+		}
+		out := *in
+		out.Scaled = false
+		return &out, nil
+	case *hashJoinNode:
+		l, err := refRun(e, n.l)
+		if err != nil {
+			return nil, err
+		}
+		r, err := refRun(e, n.r)
+		if err != nil {
+			return nil, err
+		}
+		return refHashJoin(e, &hashJoinNode{l: ScanT(l), r: ScanT(r), lCols: n.lCols, rCols: n.rCols})
+	case *arithJoinNode:
+		l, err := refRun(e, n.l)
+		if err != nil {
+			return nil, err
+		}
+		r, err := refRun(e, n.r)
+		if err != nil {
+			return nil, err
+		}
+		return (&arithJoinNode{l: ScanT(l), r: ScanT(r), pred: n.pred}).run(e)
+	case *groupAggNode:
+		in, err := refRun(e, n.in)
+		if err != nil {
+			return nil, err
+		}
+		return refGroupAgg(e, &groupAggNode{in: ScanT(in), keyCols: n.keyCols, aggs: n.aggs, model: n.model})
+	case *vgApplyNode:
+		params, err := refRun(e, n.params)
+		if err != nil {
+			return nil, err
+		}
+		return (&vgApplyNode{vg: n.vg, groupCol: n.groupCol, params: ScanT(params), model: n.model}).run(e)
+	}
+	panic(fmt.Sprintf("refRun: unknown plan node %T", p))
+}
+
+// refNarrowPhase runs a per-partition transformation with per-tuple
+// costs and materializes its output.
+func refNarrowPhase(e *Engine, name string, in *Table, outSchema Schema, scaled bool, fn func(Tuple, *[]Tuple)) (*Table, error) {
+	out := NewTable(name, outSchema, e.machines())
+	out.Scaled = scaled
+	err := e.c.RunPhaseF(name, func(machine int, m *sim.Meter) error {
+		m.SetProfile(sim.ProfileSQLEngine)
+		chargeRows(m, in.PartLen(machine), in.Scaled)
+		var res []Tuple
+		in.EachRow(machine, func(t Tuple) {
+			fn(t, &res)
+		})
+		chargeRows(m, len(res), scaled)
+		out.Parts[machine] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func refRepartition(e *Engine, name string, in *Table, keyCols []int) ([][]Tuple, error) {
 	parts := make([][]Tuple, e.machines())

@@ -76,7 +76,7 @@ func TestSelectProject(t *testing.T) {
 	p := ProjectP(
 		SelectP(ScanT(tbl), func(tu Tuple) bool { return tu.Int(1) >= 20 }),
 		Floats("doubled"),
-		func(tu Tuple) Tuple { return T(tu.Float(1) * 2) },
+		func(tu, out Tuple) { out[0] = tu.Float(1) * 2 },
 	)
 	got, err := e.Run("q", p)
 	if err != nil {
@@ -149,8 +149,8 @@ func TestArithJoinMatchesHashJoinResult(t *testing.T) {
 
 	// Workaround: materialize nextPos = pos+1 on the left, equi-join.
 	e2, l2, r2 := build()
-	lNext := ProjectP(ScanT(l2), Ints("pos", "v", "nextPos"), func(tu Tuple) Tuple {
-		return T(tu.Float(0), tu.Float(1), tu.Float(0)+1)
+	lNext := ProjectP(ScanT(l2), Ints("pos", "v", "nextPos"), func(tu, out Tuple) {
+		out[0], out[1], out[2] = tu.Float(0), tu.Float(1), tu.Float(0)+1
 	})
 	equi, err := e2.Run("q", HashJoinP(lNext, ScanT(r2), []int{2}, []int{0}))
 	if err != nil {

@@ -63,17 +63,17 @@ func (v *svStatsVG) Apply(m relational.VGMeter, rows []relational.Tuple) []relat
 	}
 	// Emit the pre-aggregated statistics: counts at (d1=-1,d2=-1), sums
 	// at (d1, -1), second moments at (d1, d2).
-	var out []relational.Tuple
+	out := relational.NewRowSlab(v.k*(1+v.d+v.d*v.d), len(v.OutSchema()))
 	for k := 0; k < v.k; k++ {
-		out = append(out, relational.T(float64(k), -1, -1, stats.N[k]))
+		out.Add(float64(k), -1, -1, stats.N[k])
 		for i := 0; i < v.d; i++ {
-			out = append(out, relational.T(float64(k), float64(i), -1, stats.Sum[k][i]))
+			out.Add(float64(k), float64(i), -1, stats.Sum[k][i])
 			for j := 0; j < v.d; j++ {
-				out = append(out, relational.T(float64(k), float64(i), float64(j), stats.SumSq[k].At(i, j)))
+				out.Add(float64(k), float64(i), float64(j), stats.SumSq[k].At(i, j))
 			}
 		}
 	}
-	return out
+	return out.Rows()
 }
 
 // RunSimSQL implements the paper's Section 5.2 SimSQL GMM. The data
@@ -93,7 +93,8 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 
 	// The data relation (data_id, dim_id, val) is generator-backed: one
 	// partition per machine, streamed tuple-per-dimension from the
-	// machine's point source whenever a scan walks it, never resident.
+	// machine's point source whenever a scan walks it, never resident,
+	// through one row reused for the whole walk.
 	dataT := relational.NewTable("data", relational.Schema{
 		{Name: "data_id", Kind: relational.KindInt},
 		{Name: "dim_id", Kind: relational.KindInt},
@@ -111,9 +112,11 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	}
 	dataT.Gen = func(part int, yield func(relational.Tuple)) {
 		id := idBase[part]
+		row := make(relational.Tuple, 3)
 		srcs[part].Each(func(x linalg.Vec) {
 			for d, v := range x {
-				yield(relational.T(float64(id), float64(d), v))
+				row[0], row[1], row[2] = float64(id), float64(d), v
+				yield(row)
 			}
 			id++
 		})
@@ -130,8 +133,8 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	varT, err := eng.Run("var_prior", relational.AsModelP(relational.GroupAggP(
 		relational.ProjectP(relational.ScanT(dataT),
 			relational.Schema{{Name: "dim_id", Kind: relational.KindInt}, {Name: "sq", Kind: relational.KindFloat}},
-			func(t relational.Tuple) relational.Tuple {
-				return relational.T(t.Float(1), t.Float(2)*t.Float(2))
+			func(t, out relational.Tuple) {
+				out[0], out[1] = t.Float(1), t.Float(2)*t.Float(2)
 			}),
 		[]int{0},
 		[]relational.AggSpec{{Kind: relational.AggAvg, Col: 1, Name: "avg_sq"}})))

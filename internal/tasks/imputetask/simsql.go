@@ -74,7 +74,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	}
 	machine0Count := 0
 	if machines > 0 {
-		machine0Count = len(dataT.Parts[0]) / cfg.D
+		machine0Count = dataT.PartLen(0) / cfg.D
 	}
 
 	h := hyperFrom(allPoints, cfg)
@@ -84,7 +84,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	cl.Advance(4 * cost.MRJobLaunch)
 	if err := cl.RunPhaseF("impute-hyper", func(machine int, m *sim.Meter) error {
 		m.SetProfile(sim.ProfileSQLEngine)
-		m.ChargeTuples(len(dataT.Parts[machine]))
+		m.ChargeTuples(dataT.PartLen(machine))
 		return nil
 	}); err != nil {
 		return res, err

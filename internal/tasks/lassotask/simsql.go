@@ -180,9 +180,9 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 			relational.ProjectP(
 				relational.HashJoinP(preds, relational.ScanT(respT), []int{0}, []int{0}),
 				relational.Floats("one", "sq"),
-				func(t relational.Tuple) relational.Tuple {
+				func(t, out relational.Tuple) {
 					r := (t.Float(3) - yBar) - t.Float(1)
-					return relational.T(0, r*r)
+					out[0], out[1] = 0, r*r
 				}),
 			[]int{0},
 			[]relational.AggSpec{{Kind: relational.AggSum, Col: 1, Name: "sse"}})))

@@ -92,7 +92,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 		if variant == VariantWord {
 			passes = 4
 		}
-		m.ChargeTuples(passes * len(zT.Parts[machine]))
+		m.ChargeTuples(passes * zT.PartLen(machine))
 		if variant != VariantSV {
 			// theta[0]: T rows per document.
 			m.ChargeTuples(passes / 2 * machineDocCount[machine] * cfg.T)
@@ -119,7 +119,7 @@ func RunSimSQL(cl *sim.Cluster, cfg Config, variant Variant) (*task.Result, erro
 				cl.Advance(2 * cost.MRJobLaunch)
 				if err := cl.RunPhaseF("lda-theta-phi-joins", func(machine int, m *sim.Meter) error {
 					m.SetProfile(sim.ProfileSQLEngine)
-					zRows := len(zT.Parts[machine])
+					zRows := zT.PartLen(machine)
 					thetaRows := machineDocCount[machine] * cfg.T
 					// theta join: read + ship + probe + output; phi join:
 					// read + probe + output.
