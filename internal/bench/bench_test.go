@@ -153,10 +153,19 @@ func TestRunSmallFigure(t *testing.T) {
 	}
 }
 
+// TestLinesOfCode requires every implFiles row: LinesOfCode skips a file
+// it cannot read, so a moved or renamed file would drop its row from the
+// table without a word.
 func TestLinesOfCode(t *testing.T) {
 	locs := LinesOfCode()
-	if len(locs) < 15 {
-		t.Fatalf("LinesOfCode found only %d implementations", len(locs))
+	have := map[[2]string]bool{}
+	for _, l := range locs {
+		have[[2]string{l.Task, l.Platform}] = true
+	}
+	for _, f := range implFiles {
+		if !have[[2]string{f.task, f.platform}] {
+			t.Errorf("LinesOfCode dropped the %s / %s row (%s)", f.task, f.platform, f.file)
+		}
 	}
 	for _, l := range locs {
 		if l.Lines < 30 {

@@ -52,7 +52,7 @@ var implFiles = []struct {
 	// reported for the same "how much code did this take" signal.
 	{"Datagen", "Spec + scenarios", "../datagen/spec.go"},
 	{"Datagen", "Sharded generator", "../datagen/generate.go"},
-	{"Datagen", "Skewed workloads", "../workload/skew.go"},
+	{"Datagen", "Workload generators", "../workload/workload.go"},
 }
 
 // LinesOfCode counts the non-blank, non-comment lines of every task

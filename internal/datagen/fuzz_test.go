@@ -1,10 +1,16 @@
 package datagen
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
 
 // FuzzParseSpec drives arbitrary bytes through DatasetSpec intake —
 // ParseSpec, Normalize, Validate. Bad input must come back as an error,
-// never as a panic. Explore with
+// never as a panic. Normalize must be idempotent, and an accepted,
+// normalized, valid spec must survive a JSON round trip: marshalled and
+// parsed back, it normalizes to an equal value. Explore with
 // `go test -run '^$' -fuzz '^FuzzParseSpec$' ./internal/datagen`.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -31,6 +37,23 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = s.Normalize().Validate()
+		n := s.Normalize()
+		if again := n.Normalize(); !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize not idempotent:\n once  %+v\n twice %+v", n, again)
+		}
+		if n.Validate() != nil {
+			return
+		}
+		raw, err := json.Marshal(n)
+		if err != nil {
+			t.Fatalf("marshalling a valid spec: %v", err)
+		}
+		back, err := ParseSpec(raw)
+		if err != nil {
+			t.Fatalf("parsing a marshalled valid spec %s: %v", raw, err)
+		}
+		if back = back.Normalize(); !reflect.DeepEqual(back, n) {
+			t.Fatalf("JSON round trip changed the spec:\n before %+v\n after  %+v\n json   %s", n, back, raw)
+		}
 	})
 }

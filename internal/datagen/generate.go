@@ -2,6 +2,8 @@ package datagen
 
 import (
 	"bufio"
+	"cmp"
+	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"mlbench/internal/randgen"
@@ -71,11 +74,9 @@ func Generate(spec DatasetSpec, workers int) (*Dataset, error) {
 		for i, n := range counts {
 			i, n, rng := i, n, root.Split(uint64(i))
 			jobs = append(jobs, func() {
-				shardDocs[i] = workload.GenCorpusSkewed(rng, workload.SkewedCorpusConfig{
+				shardDocs[i] = workload.GenCorpus(rng, c.Shape(workload.CorpusConfig{
 					Docs: n, Vocab: c.Vocab, AvgLen: int(math.Round(c.DocLen.Mean)), Topics: c.Topics,
-					ZipfS: c.ZipfS, TopicSkew: c.TopicSkew, Background: c.Background,
-					LenDist: c.DocLen.Dist, LenSigma: c.DocLen.Sigma,
-				})
+				}))
 			})
 		}
 		finishers = append(finishers, func() {
@@ -88,15 +89,12 @@ func Generate(spec DatasetSpec, workers int) (*Dataset, error) {
 	if g := spec.GMM; g != nil {
 		counts := shardCounts(g.Points, spec.Shards)
 		root := randgen.New(spec.Seed ^ saltGMM)
-		mix := workload.NewPlantedMixture(root, workload.SkewedGMMConfig{
-			D: g.Dim, K: g.Clusters,
-			Separation: g.Separation, CovCondition: g.CovCondition, Imbalance: g.Imbalance,
-		})
+		mix := g.Plant(root, g.Clusters, g.Dim)
 		shardData := make([]*workload.GMMData, len(counts))
 		for i, n := range counts {
 			i, n, rng := i, n, root.Split(uint64(i))
 			jobs = append(jobs, func() {
-				shardData[i] = workload.GenGMMSkewedAt(rng, mix, n)
+				shardData[i] = mix.Gen(rng, n)
 			})
 		}
 		finishers = append(finishers, func() {
@@ -116,7 +114,7 @@ func Generate(spec DatasetSpec, workers int) (*Dataset, error) {
 		for i, n := range counts {
 			i, n, rng := i, n, root.Split(uint64(i))
 			jobs = append(jobs, func() {
-				shardData[i] = workload.GenRegressionCorrelated(rng, beta, n, r.Noise, r.Correlation)
+				shardData[i] = workload.GenRegression(rng, beta, n, r.Shape())
 			})
 		}
 		finishers = append(finishers, func() {
@@ -221,9 +219,13 @@ func shardCounts(total, shards int) []int {
 
 // PartitionCounts apportions total items over machines with a linear
 // load ramp whose max/min ratio is `imbalance`, using largest-remainder
-// rounding so the counts sum exactly to total. When total >= machines,
-// every machine gets at least one item (engines choke on empty
-// partitions).
+// rounding so the counts sum exactly to total: the items left after
+// every machine takes its floor go one each to the largest remainders,
+// the lower index first among equal ones. When total >= machines, every
+// machine gets at least one item (engines choke on empty partitions),
+// taken from the fullest machine, again the lower index first. Both
+// steps sort or heap the machines once, so the whole apportionment is
+// O(machines log machines).
 func PartitionCounts(total, machines int, imbalance float64) []int {
 	counts := make([]int, machines)
 	if machines == 1 || total == 0 {
@@ -246,32 +248,53 @@ func PartitionCounts(total, machines int, imbalance float64) []int {
 		fracs[m] = q - float64(counts[m])
 		assigned += counts[m]
 	}
-	for assigned < total {
-		best := 0
-		for m := 1; m < machines; m++ {
-			if fracs[m] > fracs[best] {
-				best = m
+	if assigned < total {
+		order := make([]int, machines)
+		for m := range order {
+			order[m] = m
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(fracs[b], fracs[a]) })
+		for i := 0; assigned < total; i++ {
+			counts[order[i%machines]]++
+			assigned++
+		}
+	}
+	if total >= machines && slices.Contains(counts, 0) {
+		// While some machine is empty, the fullest holds at least two
+		// items, so it never empties and the heap needs no other entry.
+		h := &fullest{counts: counts}
+		for m, c := range counts {
+			if c > 0 {
+				h.idx = append(h.idx, m)
 			}
 		}
-		counts[best]++
-		fracs[best] = -1
-		assigned++
-	}
-	if total >= machines {
+		heap.Init(h)
 		for m := range counts {
 			if counts[m] == 0 {
-				big := 0
-				for j := 1; j < machines; j++ {
-					if counts[j] > counts[big] {
-						big = j
-					}
-				}
+				big := h.idx[0]
 				counts[m], counts[big] = 1, counts[big]-1
+				heap.Fix(h, 0)
 			}
 		}
 	}
 	return counts
 }
+
+// fullest is a max-heap of machine indices by count, the lower index
+// first among equal counts.
+type fullest struct {
+	counts []int
+	idx    []int
+}
+
+func (h *fullest) Len() int { return len(h.idx) }
+func (h *fullest) Less(i, j int) bool {
+	a, b := h.idx[i], h.idx[j]
+	return h.counts[a] > h.counts[b] || h.counts[a] == h.counts[b] && a < b
+}
+func (h *fullest) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *fullest) Push(any)      {}
+func (h *fullest) Pop() any      { return nil }
 
 // fpWriter streams the canonical dataset encoding into a hash: section
 // labels, then fixed-width little-endian values in generation order.

@@ -4,9 +4,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"mlbench/internal/linalg"
-	"mlbench/internal/randgen"
 )
 
 // TestGenerateWorkerIdentity is the acceptance property of the whole
@@ -127,74 +124,109 @@ func TestPartitionCounts(t *testing.T) {
 	}
 }
 
-func TestMachineShare(t *testing.T) {
-	imbal := ScenarioSpec("imbal-8x")
-	if imbal == nil {
-		t.Fatal("imbal-8x not registered")
-	}
-	var total int
-	var counts []int
-	const machines, base = 5, 1000
-	for m := 0; m < machines; m++ {
-		c := MachineShare(imbal, m, machines, base)
-		counts = append(counts, c)
-		total += c
-	}
-	if total != machines*base {
-		t.Fatalf("shares sum to %d, want %d: %v", total, machines*base, counts)
-	}
-	if ratio := float64(counts[machines-1]) / float64(counts[0]); ratio < 7 || ratio > 9 {
-		t.Fatalf("share ratio = %.2f, want ~8: %v", ratio, counts)
-	}
-	// nil spec and balanced scenarios are identity.
-	if got := MachineShare(nil, 3, 5, base); got != base {
-		t.Fatalf("nil spec share = %d", got)
-	}
-	if got := MachineShare(ScenarioSpec("skew-heavy"), 3, 5, base); got != base {
-		t.Fatalf("balanced scenario share = %d", got)
-	}
-}
-
-// TestMachineGMMSharedMixture checks the distributed-generation contract:
-// every machine derives the same planted mixture from the shared root.
-func TestMachineGMMSharedMixture(t *testing.T) {
-	spec := ScenarioSpec("skew-heavy")
-	draw := func(machine int) []linalg.Vec {
-		next := OpenMachineGMM(spec, randgen.New(99), machine, 10, 10)
-		out := make([]linalg.Vec, 50)
-		for i := range out {
-			out[i] = next()
+// partitionCountsQuadratic is PartitionCounts as it was first written,
+// with an O(machines) scan per remainder item and per empty machine: the
+// reference the O(machines log machines) version must match exactly.
+func partitionCountsQuadratic(total, machines int, imbalance float64) []int {
+	counts := make([]int, machines)
+	if machines == 1 || total == 0 {
+		if machines == 1 {
+			counts[0] = total
 		}
-		return out
+		return counts
 	}
-	p0, p1 := draw(0), draw(1)
-	if len(p0) != 50 || len(p1) != 50 {
-		t.Fatalf("points: %d, %d", len(p0), len(p1))
+	weights := make([]float64, machines)
+	var sum float64
+	for m := range weights {
+		weights[m] = 1 + (imbalance-1)*float64(m)/float64(machines-1)
+		sum += weights[m]
 	}
-	if reflect.DeepEqual(p0, p1) {
-		t.Error("machines 0 and 1 generated identical points (streams not split)")
+	fracs := make([]float64, machines)
+	assigned := 0
+	for m := range counts {
+		q := float64(total) * weights[m] / sum
+		counts[m] = int(q)
+		fracs[m] = q - float64(counts[m])
+		assigned += counts[m]
 	}
-	// Same machine, fresh root: byte-identical.
-	again := draw(0)
-	if !reflect.DeepEqual(p0, again) {
-		t.Error("machine generation not reproducible")
-	}
-}
-
-func TestMachineCorpusShapes(t *testing.T) {
-	spec := ScenarioSpec("skew-heavy")
-	docs := MachineCorpus(spec, randgen.New(7), 200, 1000, 100, 8)
-	if len(docs) != 200 {
-		t.Fatalf("docs = %d", len(docs))
-	}
-	for _, doc := range docs {
-		if len(doc) < 2 {
-			t.Fatalf("degenerate doc of length %d", len(doc))
-		}
-		for _, w := range doc {
-			if w < 0 || w >= 1000 {
-				t.Fatalf("word %d out of vocabulary", w)
+	for assigned < total {
+		best := 0
+		for m := 1; m < machines; m++ {
+			if fracs[m] > fracs[best] {
+				best = m
 			}
+		}
+		counts[best]++
+		fracs[best] = -1
+		assigned++
+	}
+	if total >= machines {
+		for m := range counts {
+			if counts[m] == 0 {
+				big := 0
+				for j := 1; j < machines; j++ {
+					if counts[j] > counts[big] {
+						big = j
+					}
+				}
+				counts[m], counts[big] = 1, counts[big]-1
+			}
+		}
+	}
+	return counts
+}
+
+// TestPartitionCountsMatchesQuadratic sweeps totals, machine counts and
+// imbalances — balanced, ties between equal remainders, and ramps steep
+// enough to leave machines empty before the minimum-one fix — and checks
+// every count against the reference algorithm.
+func TestPartitionCountsMatchesQuadratic(t *testing.T) {
+	for _, machines := range []int{1, 2, 3, 5, 7, 16, 64, 257} {
+		for _, base := range []int{0, 1, 2, 3, 10, 101} {
+			for _, extra := range []int{0, 1, machines / 2} {
+				total := base*machines + extra
+				for _, imbalance := range []float64{1, 1.5, 2, 3, 8, 40, 1000} {
+					got := PartitionCounts(total, machines, imbalance)
+					if want := partitionCountsQuadratic(total, machines, imbalance); !reflect.DeepEqual(got, want) {
+						t.Fatalf("PartitionCounts(%d, %d, %v) = %v, want %v", total, machines, imbalance, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateFingerprintPinned pins the fingerprint of two specs: the
+// smoke spec, which sets every shape knob off its default, and a spec
+// whose every section keeps its zero shape knobs. The worker-identity
+// test only compares runs with each other; this one notices a generator
+// whose stream moved.
+func TestGenerateFingerprintPinned(t *testing.T) {
+	smoke, err := LoadSpec(filepath.Join("..", "..", "datasets", "smoke.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := DatasetSpec{
+		Name:       "zero-knobs",
+		Corpus:     &CorpusSpec{Docs: 60, Vocab: 500, Topics: 4, DocLen: DocLenSpec{Mean: 40}},
+		GMM:        &GMMSpec{Points: 200, Dim: 3, Clusters: 4},
+		Regression: &RegressionSpec{Points: 80, Dim: 12},
+		Graph:      &GraphSpec{Vertices: 100},
+		Partition:  &PartitionSpec{},
+	}
+	for _, c := range []struct {
+		spec DatasetSpec
+		want string
+	}{
+		{smoke, "bf7028e56620b08b9ffbde73e7a51b486233a36ec0f276a1602f83ad00054c0d"},
+		{zero, "91a00b9c81b7e0ef228a05623f1e0d9d12c4efb1a95434f4946f2d5e57ae3329"},
+	} {
+		d, err := Generate(c.spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Fingerprint != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.spec.Name, d.Fingerprint, c.want)
 		}
 	}
 }

@@ -44,17 +44,27 @@ func TestZipfWordDrawGoF(t *testing.T) {
 	}
 }
 
-// TestLognormalDocLenGoF checks SampleDocLen's lognormal law against its
-// closed-form CDF Phi((ln x - mu)/sigma) with mu = ln(mean) - sigma^2/2.
-// Lengths are truncated to ints; at mean 200 the discretization error is
-// two orders of magnitude under the KS critical value.
-func TestLognormalDocLenGoF(t *testing.T) {
-	const mean, sigma, n = 200.0, 0.8, 4000
-	rng := randgen.New(22)
+// docLengths returns the lengths of n documents of a one-topic corpus
+// over a two-word dictionary with the given length law and mean.
+func docLengths(seed uint64, n int, dist string, mean int, sigma float64) []float64 {
+	next := workload.OpenCorpus(randgen.New(seed), workload.CorpusConfig{
+		Vocab: 2, AvgLen: mean, Topics: 1, Sampler: randgen.TierAlias, LenDist: dist, LenSigma: sigma,
+	})
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = float64(workload.SampleDocLen(rng, workload.LenLognormal, mean, sigma))
+		xs[i] = float64(len(next()))
 	}
+	return xs
+}
+
+// TestLognormalDocLenGoF checks the corpus's lognormal length law
+// against its closed-form CDF Phi((ln x - mu)/sigma) with
+// mu = ln(mean) - sigma^2/2. Lengths are truncated to ints; at mean 200
+// the discretization error is two orders of magnitude under the KS
+// critical value.
+func TestLognormalDocLenGoF(t *testing.T) {
+	const mean, sigma, n = 200.0, 0.8, 4000
+	xs := docLengths(22, n, workload.LenLognormal, mean, sigma)
 	mu := math.Log(mean) - sigma*sigma/2
 	d := randgen.KSStat(xs, func(x float64) float64 {
 		if x <= 0 {
@@ -80,10 +90,8 @@ func TestLognormalDocLenGoF(t *testing.T) {
 // equal lambda.
 func TestPoissonDocLenGoF(t *testing.T) {
 	const mean, n = 120.0, 8000
-	rng := randgen.New(23)
 	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := float64(workload.SampleDocLen(rng, workload.LenPoisson, mean, 0.5))
+	for _, x := range docLengths(23, n, workload.LenPoisson, mean, 0) {
 		sum += x
 		sumSq += x * x
 	}

@@ -12,10 +12,14 @@
 // corpus — certified by a canonical SHA-256 fingerprint — at any worker
 // count.
 //
-// The benchmark side consumes specs through named scenarios
-// (RunSpec.Dataset / task Config.Dataset), where the task keeps its paper
-// dimensions and the scenario contributes only shape; the `mlbench gen`
-// CLI and the datagen-smoke CI job consume full specs from files.
+// Generation does not have generators of its own: each section maps onto
+// the one internal/workload generator of its kind (shape.go), whose zero
+// knobs are the paper shape. The benchmark side consumes specs through
+// named scenarios (RunSpec.Dataset / task Config.Dataset), where the
+// task keeps its paper dimensions and the scenario sets only the shape
+// knobs, through the same mappings (internal/tasks/task.Data); the
+// `mlbench gen` CLI and the datagen-smoke CI job consume full specs from
+// files.
 package datagen
 
 import (

@@ -152,7 +152,7 @@ func TestLassoChainMixes(t *testing.T) {
 	runChain := func(seed uint64) []float64 {
 		rng := randgen.New(seed)
 		const n, p = 500, 8
-		data := workload.GenRegressionWithBeta(rng, workload.SparseBeta(randgen.New(9), p, 3), n, 1)
+		data := workload.GenRegression(rng, workload.SparseBeta(randgen.New(9), p, 3), n, workload.RegressionConfig{})
 		xtx := linalg.NewMat(p, p)
 		xty := linalg.NewVec(p)
 		for i, x := range data.X {

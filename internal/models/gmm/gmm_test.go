@@ -219,7 +219,7 @@ func TestScatterAboutMatchesDirect(t *testing.T) {
 
 func TestGibbsRecoversPlantedClusters(t *testing.T) {
 	rng := randgen.New(7)
-	data := workload.GenGMM(rng, workload.GMMConfig{N: 600, D: 2, K: 3, Separation: 12})
+	data := workload.GenGMMAt(rng, workload.PlantedMeans(rng, 3, 2, 12), 600)
 	mean, variance := workload.Moments(data.Points)
 	h := HyperFromMoments(3, mean, variance)
 	p, err := Init(rng, h)
@@ -277,7 +277,7 @@ func TestUpdateParamsConcentratesWithData(t *testing.T) {
 
 func TestLogLikelihoodImprovesOverIterations(t *testing.T) {
 	rng := randgen.New(11)
-	data := workload.GenGMM(rng, workload.GMMConfig{N: 300, D: 2, K: 2, Separation: 10})
+	data := workload.GenGMMAt(rng, workload.PlantedMeans(rng, 2, 2, 10), 300)
 	mean, variance := workload.Moments(data.Points)
 	h := HyperFromMoments(2, mean, variance)
 	p, err := Init(rng, h)

@@ -23,6 +23,12 @@ func gram(data *workload.RegressionData) (*linalg.Mat, linalg.Vec) {
 	return xtx, xty
 }
 
+// genData draws a sparse coefficient vector with the given number of
+// non-zero entries, then n observations around it.
+func genData(rng *randgen.RNG, n, p, sparsity int, noise float64) *workload.RegressionData {
+	return workload.GenRegression(rng, workload.SparseBeta(rng, p, sparsity), n, workload.RegressionConfig{Noise: noise})
+}
+
 func sse(data *workload.RegressionData, beta linalg.Vec) float64 {
 	var s float64
 	for i, x := range data.X {
@@ -76,7 +82,7 @@ func TestSampleBetaPosteriorMean(t *testing.T) {
 	// With tiny noise and lots of data, beta should land on the ordinary
 	// least squares solution.
 	rng := randgen.New(3)
-	data := workload.GenRegression(rng, workload.RegressionConfig{N: 5000, P: 4, Sparsity: 2, Noise: 0.01})
+	data := genData(rng, 5000, 4, 2, 0.01)
 	xtx, xty := gram(data)
 	s := Init(4)
 	s.Sigma2 = 0.0001
@@ -108,17 +114,17 @@ func TestSampleSigma2Scale(t *testing.T) {
 
 func TestFullChainRecoversSparseBeta(t *testing.T) {
 	rng := randgen.New(5)
-	cfg := workload.RegressionConfig{N: 2000, P: 10, Sparsity: 3, Noise: 0.5}
-	data := workload.GenRegression(rng, cfg)
+	const p = 10
+	data := genData(rng, 2000, p, 3, 0.5)
 	xtx, xty := gram(data)
-	h := Hyper{Lambda: 1, P: cfg.P}
-	s := Init(cfg.P)
+	h := Hyper{Lambda: 1, P: p}
+	s := Init(p)
 	for iter := 0; iter < 50; iter++ {
 		SampleInvTau2(rng, h, s)
 		if err := SampleBeta(rng, s, xtx, xty); err != nil {
 			t.Fatal(err)
 		}
-		SampleSigma2(rng, s, float64(cfg.N), sse(data, s.Beta))
+		SampleSigma2(rng, s, float64(len(data.X)), sse(data, s.Beta))
 	}
 	for j := range s.Beta {
 		if math.Abs(s.Beta[j]-data.TrueBeta[j]) > 0.25 {
@@ -135,7 +141,7 @@ func TestShrinkageGrowsWithLambda(t *testing.T) {
 	// should be shrunk much harder than with a tiny lambda.
 	run := func(lambda float64) float64 {
 		rng := randgen.New(6)
-		data := workload.GenRegression(rng, workload.RegressionConfig{N: 50, P: 20, Sparsity: 1, Noise: 3})
+		data := genData(rng, 50, 20, 1, 3)
 		xtx, xty := gram(data)
 		h := Hyper{Lambda: lambda, P: 20}
 		s := Init(20)
@@ -262,7 +268,7 @@ func TestSampleBetaWithRankDeficientGram(t *testing.T) {
 	// Fewer observations than regressors: the auxiliaries regularize the
 	// draw and it must still succeed.
 	rng := randgen.New(12)
-	data := workload.GenRegression(rng, workload.RegressionConfig{N: 3, P: 10, Sparsity: 2, Noise: 1})
+	data := genData(rng, 3, 10, 2, 1)
 	xtx, xty := gram(data)
 	xtx.ScaleInPlace(1e9) // extreme conditioning, as high scale factors produce
 	xty.ScaleInPlace(1e9)

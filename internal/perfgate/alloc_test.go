@@ -161,7 +161,7 @@ func TestGMMStreamAllocCeiling(t *testing.T) {
 	const n = 4096
 	mu := workload.PlantedMeans(randgen.New(9), 4, 10, 8)
 	src := sim.NewSource(n, 0, func() func() linalg.Vec {
-		return workload.OpenGMMAt(randgen.New(11), mu)
+		return (&workload.PlantedMixture{Mu: mu}).Open(randgen.New(11))
 	})
 	src.Each(func(linalg.Vec) {}) // warm the chunk pool
 	perPass := testing.AllocsPerRun(5, func() {

@@ -143,7 +143,7 @@ func aliasDrawSpec() Spec {
 func gramFoldSpec() Spec {
 	const p = 64
 	rng := randgen.New(11)
-	data := workload.GenRegressionWithBeta(rng, workload.SparseBeta(rng, p, 4), 32, 1)
+	data := workload.GenRegression(rng, workload.SparseBeta(rng, p, 4), 32, workload.RegressionConfig{})
 	xtx := linalg.NewMat(p, p)
 	xty := linalg.NewVec(p)
 	return Spec{

@@ -5,12 +5,9 @@
 package gmmtask
 
 import (
-	"mlbench/internal/datagen"
 	"mlbench/internal/linalg"
-	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
 	"mlbench/internal/tasks/task"
-	"mlbench/internal/workload"
 )
 
 // Config parameterizes one GMM benchmark run. Counts are at paper scale;
@@ -57,33 +54,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// machineSource streams one machine's real points as a regenerable
-// partition. All platforms share the same data for a given cluster seed,
-// so learned models are comparable across engines. A Dataset scenario
-// reshapes the mixture (and this machine's share of it); the empty
-// scenario replays the historical generator's draw pattern exactly, so
-// the element stream is byte-identical to the slices the ports used to
-// materialize.
-func machineSource(cl *sim.Cluster, cfg Config, machine int) *sim.Source[linalg.Vec] {
-	ds := datagen.ScenarioSpec(cfg.Dataset)
-	n := datagen.MachineShare(ds, machine, cl.NumMachines(), task.RealCount(cl, cfg.PointsPerMachine))
-	return sim.NewSource(n, cl.ChunkElems(), func() func() linalg.Vec {
-		root := randgen.New(cfg.Seed ^ cl.Config().Seed)
-		if ds != nil && ds.GMM != nil {
-			return datagen.OpenMachineGMM(ds, root, machine, cfg.K, cfg.D)
-		}
-		mu := workload.PlantedMeans(root, cfg.K, cfg.D, 8) // shared planted mixture
-		return workload.OpenGMMAt(root.Split(uint64(machine)), mu)
-	})
-}
-
-// machineSources opens every machine's point stream.
+// machineSources streams the first machines' points (see task.Data).
+// All platforms share the same data for a given cluster seed, so learned
+// models are comparable across engines.
 func machineSources(cl *sim.Cluster, cfg Config, machines int) []*sim.Source[linalg.Vec] {
+	data := task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.PointsPerMachine)
 	srcs := make([]*sim.Source[linalg.Vec], machines)
 	for mc := range srcs {
-		srcs[mc] = machineSource(cl, cfg, mc)
+		srcs[mc] = data.Mixture(mc, cfg.K, cfg.D)
 	}
 	return srcs
+}
+
+// machineSource streams one machine's points.
+func machineSource(cl *sim.Cluster, cfg Config, machine int) *sim.Source[linalg.Vec] {
+	return task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.PointsPerMachine).Mixture(machine, cfg.K, cfg.D)
 }
 
 // momentsOfSources computes the mean and per-dimension variance of the

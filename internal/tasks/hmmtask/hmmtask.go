@@ -7,7 +7,6 @@
 package hmmtask
 
 import (
-	"mlbench/internal/datagen"
 	"mlbench/internal/models/hmm"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -92,25 +91,11 @@ func (c Config) withDefaults() Config {
 // hyper returns the model hyperparameters.
 func (c Config) hyper() hmm.Hyper { return hmm.Hyper{K: c.K, V: c.V, Alpha: 1, Beta: 0.5} }
 
-// genMachineDocs deterministically generates one machine's documents. A
-// Dataset scenario reshapes the corpus (and this machine's share of it)
-// while keeping the task's dimensions; the empty scenario is the
-// historical generator, byte-identical.
+// genMachineDocs generates one machine's documents (see task.Data): the
+// task's dictionary and document length with K/4 planted topic groups.
 func genMachineDocs(cl *sim.Cluster, cfg Config, machine int) [][]int {
-	ds := datagen.ScenarioSpec(cfg.Dataset)
-	n := datagen.MachineShare(ds, machine, cl.NumMachines(), task.RealCount(cl, cfg.DocsPerMachine))
-	rng := randgen.New(cfg.Seed ^ cl.Config().Seed).Split(uint64(machine))
-	topics := cfg.K / 4
-	if topics < 2 {
-		topics = 2
-	}
-	if ds != nil && ds.Corpus != nil {
-		return datagen.MachineCorpus(ds, rng, n, cfg.V, cfg.AvgDocLen, topics)
-	}
-	return workload.GenCorpus(rng, workload.CorpusConfig{
-		Docs: n, Vocab: cfg.V, AvgLen: cfg.AvgDocLen, Topics: topics,
-		Sampler: cfg.Sampler,
-	})
+	corpus := workload.CorpusConfig{Vocab: cfg.V, AvgLen: cfg.AvgDocLen, Topics: max(cfg.K/4, 2), Sampler: cfg.Sampler}
+	return task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.DocsPerMachine).Corpus(machine, corpus).Materialize()
 }
 
 // refreshProposals rebuilds model's mhalias proposal cache (a no-op for

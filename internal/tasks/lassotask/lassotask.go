@@ -9,7 +9,6 @@
 package lassotask
 
 import (
-	"mlbench/internal/datagen"
 	"mlbench/internal/linalg"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -58,17 +57,9 @@ func trueBeta(cfg Config) linalg.Vec {
 	return workload.SparseBeta(rng, cfg.P, cfg.P/20+1)
 }
 
-// genMachineData deterministically generates one machine's observations.
-// A Dataset scenario reshapes the design (and this machine's share of
-// it); the empty scenario is the historical generator, byte-identical.
+// genMachineData generates one machine's observations (see task.Data).
 func genMachineData(cl *sim.Cluster, cfg Config, machine int) *workload.RegressionData {
-	ds := datagen.ScenarioSpec(cfg.Dataset)
-	n := datagen.MachineShare(ds, machine, cl.NumMachines(), task.RealCount(cl, cfg.PointsPerMachine))
-	rng := randgen.New(cfg.Seed ^ cl.Config().Seed).Split(uint64(machine))
-	if ds != nil && ds.Regression != nil {
-		return datagen.MachineRegression(ds, rng, trueBeta(cfg), n)
-	}
-	return workload.GenRegressionWithBeta(rng, trueBeta(cfg), n, 1)
+	return task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.PointsPerMachine).Regression(machine, trueBeta(cfg))
 }
 
 // gramPartial is one machine's dense contribution to the initialization

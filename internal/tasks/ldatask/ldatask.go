@@ -12,7 +12,6 @@
 package ldatask
 
 import (
-	"mlbench/internal/datagen"
 	"mlbench/internal/models/lda"
 	"mlbench/internal/randgen"
 	"mlbench/internal/sim"
@@ -93,25 +92,18 @@ func (c Config) withDefaults() Config {
 // hyper returns the model hyperparameters.
 func (c Config) hyper() lda.Hyper { return lda.Hyper{T: c.T, V: c.V, Alpha: 0.5, Beta: 0.1} }
 
-// genMachineDocs deterministically generates one machine's documents with
-// planted topic structure. A Dataset scenario reshapes the corpus (and
-// this machine's share of it) while keeping the task's dimensions; the
-// empty scenario is the historical generator, byte-identical.
+// machineDocs wires the run's corpus onto the cluster (see task.Data):
+// the task's dictionary and document length with T/10 planted topic
+// groups. It returns each machine's streamed partition.
+func machineDocs(cl *sim.Cluster, cfg Config) func(machine int) *sim.Source[[]int] {
+	data := task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.DocsPerMachine)
+	corpus := workload.CorpusConfig{Vocab: cfg.V, AvgLen: cfg.AvgDocLen, Topics: max(cfg.T/10, 2), Sampler: cfg.Sampler}
+	return func(machine int) *sim.Source[[]int] { return data.Corpus(machine, corpus) }
+}
+
+// genMachineDocs generates one machine's documents.
 func genMachineDocs(cl *sim.Cluster, cfg Config, machine int) [][]int {
-	ds := datagen.ScenarioSpec(cfg.Dataset)
-	n := datagen.MachineShare(ds, machine, cl.NumMachines(), task.RealCount(cl, cfg.DocsPerMachine))
-	rng := randgen.New(cfg.Seed ^ cl.Config().Seed).Split(uint64(machine))
-	topics := cfg.T / 10
-	if topics < 2 {
-		topics = 2
-	}
-	if ds != nil && ds.Corpus != nil {
-		return datagen.MachineCorpus(ds, rng, n, cfg.V, cfg.AvgDocLen, topics)
-	}
-	return workload.GenCorpus(rng, workload.CorpusConfig{
-		Docs: n, Vocab: cfg.V, AvgLen: cfg.AvgDocLen, Topics: topics,
-		Sampler: cfg.Sampler,
-	})
+	return machineDocs(cl, cfg)(machine).Materialize()
 }
 
 // refreshProposals rebuilds model's mhalias proposal cache (a no-op for

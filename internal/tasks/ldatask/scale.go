@@ -14,9 +14,6 @@ import (
 	"mlbench/internal/relational"
 	"mlbench/internal/sim"
 	"mlbench/internal/tasks/task"
-	"mlbench/internal/workload"
-
-	"mlbench/internal/datagen"
 )
 
 // This file implements the STREAMED scale formulation of LDA used by the
@@ -32,32 +29,12 @@ import (
 // sized) live across a pass. The pass is dense-scan by construction; the
 // sampler tier knob shapes the generated corpus, not this hot path.
 
-// machineDocSource returns machine's corpus as a streamed source
-// replaying genMachineDocs's exact draw pattern chunk by chunk.
-func machineDocSource(cl *sim.Cluster, cfg Config, machine int) *sim.Source[[]int] {
-	ds := datagen.ScenarioSpec(cfg.Dataset)
-	n := datagen.MachineShare(ds, machine, cl.NumMachines(), task.RealCount(cl, cfg.DocsPerMachine))
-	topics := cfg.T / 10
-	if topics < 2 {
-		topics = 2
-	}
-	return sim.NewSource(n, cl.ChunkElems(), func() func() []int {
-		rng := randgen.New(cfg.Seed ^ cl.Config().Seed).Split(uint64(machine))
-		if ds != nil && ds.Corpus != nil {
-			return datagen.OpenMachineCorpus(ds, rng, cfg.V, cfg.AvgDocLen, topics)
-		}
-		return workload.OpenCorpus(rng, workload.CorpusConfig{
-			Docs: n, Vocab: cfg.V, AvgLen: cfg.AvgDocLen, Topics: topics,
-			Sampler: cfg.Sampler,
-		})
-	})
-}
-
-// docSources builds the per-machine corpus sources.
+// docSources streams the first machines' documents.
 func docSources(cl *sim.Cluster, cfg Config, machines int) []*sim.Source[[]int] {
+	open := machineDocs(cl, cfg)
 	srcs := make([]*sim.Source[[]int], machines)
-	for mc := 0; mc < machines; mc++ {
-		srcs[mc] = machineDocSource(cl, cfg, mc)
+	for mc := range srcs {
+		srcs[mc] = open(mc)
 	}
 	return srcs
 }
@@ -113,7 +90,7 @@ func scaleChain(cl *sim.Cluster, cfg Config, h lda.Hyper, model *lda.Model) floa
 	rng := randgen.New(cfg.Seed ^ 0xd1a6)
 	var ll float64
 	words := 0
-	machineDocSource(cl, cfg, 0).Each(func(w []int) {
+	machineDocs(cl, cfg)(0).Each(func(w []int) {
 		d := rejuvenate(rng, h, model, w)
 		ll += model.LogLikelihood(d)
 		words += len(w)

@@ -58,3 +58,40 @@ func CheckGolden(t *testing.T, path string, got []string, update bool) {
 		}
 	}
 }
+
+// StreamDigest returns the first 16 hex digits of the SHA-256 over a
+// sequence of per-machine element streams, each written as its element
+// count and then, per element, its length and values: equal digests mean
+// the machines received the same elements bit for bit. Integer elements
+// (documents) are written as exact float64 values.
+func StreamDigest[E int | float64, V ~[]E](machines ...[]V) string {
+	var all []linalg.Vec
+	for _, elems := range machines {
+		all = append(all, linalg.Vec{float64(len(elems))})
+		for _, e := range elems {
+			v := linalg.Vec{float64(len(e))}
+			for _, x := range e {
+				v = append(v, float64(x))
+			}
+			all = append(all, v)
+		}
+	}
+	return Digest(all...)[:16]
+}
+
+// Datasets is the Dataset values the stream pins run under: the paper
+// shape, the two shape scenarios and a partition-only scenario.
+var Datasets = []string{"", "skew-light", "skew-heavy", "imbal-8x"}
+
+// CheckPins compares got with want key by key.
+func CheckPins(t *testing.T, got, want map[string]string) {
+	t.Helper()
+	for k, g := range got {
+		if want[k] != g {
+			t.Errorf("stream %q: digest %s, want %s", k, g, want[k])
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d streams pinned, want %d", len(got), len(want))
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 func TestGenGMMShapesAndLabels(t *testing.T) {
 	rng := randgen.New(1)
-	d := GenGMM(rng, GMMConfig{N: 500, D: 3, K: 4})
+	d := GenGMMAt(rng, PlantedMeans(rng, 4, 3, 8), 500)
 	if len(d.Points) != 500 || len(d.Labels) != 500 || len(d.Mu) != 4 {
 		t.Fatalf("shapes wrong")
 	}
@@ -29,8 +29,11 @@ func TestGenGMMShapesAndLabels(t *testing.T) {
 }
 
 func TestGenGMMDeterministic(t *testing.T) {
-	a := GenGMM(randgen.New(5), GMMConfig{N: 10, D: 2, K: 2})
-	b := GenGMM(randgen.New(5), GMMConfig{N: 10, D: 2, K: 2})
+	gen := func() *GMMData {
+		rng := randgen.New(5)
+		return GenGMMAt(rng, PlantedMeans(rng, 2, 2, 8), 10)
+	}
+	a, b := gen(), gen()
 	for i := range a.Points {
 		if a.Points[i][0] != b.Points[i][0] {
 			t.Fatal("same seed produced different data")
@@ -40,7 +43,7 @@ func TestGenGMMDeterministic(t *testing.T) {
 
 func TestGenRegressionTruth(t *testing.T) {
 	rng := randgen.New(2)
-	d := GenRegression(rng, RegressionConfig{N: 2000, P: 8, Sparsity: 3, Noise: 0.1})
+	d := GenRegression(rng, SparseBeta(rng, 8, 3), 2000, RegressionConfig{Noise: 0.1})
 	nz := 0
 	for _, b := range d.TrueBeta {
 		if b != 0 {
@@ -132,7 +135,7 @@ func TestGenCorpusTopicsDiffer(t *testing.T) {
 
 func TestCensorRate(t *testing.T) {
 	rng := randgen.New(6)
-	d := GenGMM(rng, GMMConfig{N: 2000, D: 10, K: 2})
+	d := GenGMMAt(rng, PlantedMeans(rng, 2, 10, 8), 2000)
 	censored, missing := Censor(rng, d.Points)
 	if len(censored) != 2000 || len(missing) != 2000 {
 		t.Fatalf("shapes wrong")
@@ -161,7 +164,8 @@ func TestMoments(t *testing.T) {
 	if mean != nil || variance != nil {
 		t.Error("empty moments should be nil")
 	}
-	pts := GenGMM(randgen.New(7), GMMConfig{N: 50000, D: 2, K: 1, Separation: 0.001}).Points
+	rng := randgen.New(7)
+	pts := GenGMMAt(rng, PlantedMeans(rng, 1, 2, 0.001), 50000).Points
 	mean, variance = Moments(pts)
 	// Single cluster near origin with unit covariance.
 	if math.Abs(mean[0]) > 0.05 || math.Abs(variance[0]-1) > 0.05 {
@@ -174,7 +178,7 @@ func TestMoments(t *testing.T) {
 func TestQuickCensorConsistent(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := randgen.New(seed)
-		d := GenGMM(rng, GMMConfig{N: 20, D: 3, K: 2})
+		d := GenGMMAt(rng, PlantedMeans(rng, 2, 3, 8), 20)
 		censored, missing := Censor(rng, d.Points)
 		for i := range censored {
 			for dim := range censored[i] {
@@ -194,10 +198,10 @@ func TestQuickCensorConsistent(t *testing.T) {
 	}
 }
 
-func TestGenRegressionWithBetaSharedTruth(t *testing.T) {
+func TestGenRegressionSharedTruth(t *testing.T) {
 	beta := SparseBeta(randgen.New(1), 6, 2)
-	a := GenRegressionWithBeta(randgen.New(2), beta, 50, 0.1)
-	b := GenRegressionWithBeta(randgen.New(3), beta, 50, 0.1)
+	a := GenRegression(randgen.New(2), beta, 50, RegressionConfig{Noise: 0.1})
+	b := GenRegression(randgen.New(3), beta, 50, RegressionConfig{Noise: 0.1})
 	for j := range beta {
 		if a.TrueBeta[j] != b.TrueBeta[j] {
 			t.Fatal("machines must share the planted coefficients")
@@ -339,5 +343,140 @@ func TestPlantedMeansSeparation(t *testing.T) {
 	}
 	if maxNorm < 4 {
 		t.Errorf("means suspiciously close to origin: max norm %v", maxNorm)
+	}
+}
+
+func TestGenCorpusShapeKnobs(t *testing.T) {
+	cfg := CorpusConfig{
+		Docs: 300, Vocab: 500, AvgLen: 80, Topics: 6, Sampler: randgen.TierAlias,
+		ZipfS: 1.5, TopicSkew: 1.2, LenDist: LenLognormal, LenSigma: 0.7,
+	}
+	docs := GenCorpus(randgen.New(5), cfg)
+	if len(docs) != 300 {
+		t.Fatalf("docs = %d", len(docs))
+	}
+	var total int
+	for _, d := range docs {
+		if len(d) < 2 {
+			t.Fatalf("degenerate doc length %d", len(d))
+		}
+		for _, w := range d {
+			if w < 0 || w >= 500 {
+				t.Fatalf("word %d out of vocabulary", w)
+			}
+		}
+		total += len(d)
+	}
+	if mean := float64(total) / 300; mean < 60 || mean > 100 {
+		t.Errorf("mean doc length = %.1f, want ~80", mean)
+	}
+	if again := GenCorpus(randgen.New(5), cfg); !reflect.DeepEqual(docs, again) {
+		t.Error("shaped corpus not reproducible")
+	}
+}
+
+// TestPlantedMixtureStructure checks the two GMM shape knobs: mixture
+// imbalance concentrates labels on the first components, and covariance
+// conditioning stretches per-cluster axis variances by the declared
+// ratio.
+func TestPlantedMixtureStructure(t *testing.T) {
+	rng := randgen.New(6)
+	cfg := GMMConfig{D: 6, K: 5, Separation: 50, CovCondition: 16, Imbalance: 1.5}
+	data := NewPlantedMixture(rng, cfg).Gen(rng, 20_000)
+	counts := make([]int, cfg.K)
+	for _, l := range data.Labels {
+		counts[l]++
+	}
+	if counts[0] <= 2*counts[cfg.K-1] {
+		t.Errorf("mixture not imbalanced: %v", counts)
+	}
+	// Cluster 0's axis variances: means are far apart (separation 50), so
+	// assignment by label is clean; compare the largest and smallest
+	// per-axis sample variance against the declared condition number.
+	var pts [][]float64
+	for i, x := range data.Points {
+		if data.Labels[i] == 0 {
+			pts = append(pts, x)
+		}
+	}
+	minV, maxV := math.Inf(1), 0.0
+	for j := 0; j < cfg.D; j++ {
+		var sum, sumSq float64
+		for _, x := range pts {
+			sum += x[j]
+			sumSq += x[j] * x[j]
+		}
+		n := float64(len(pts))
+		v := sumSq/n - (sum/n)*(sum/n)
+		minV = math.Min(minV, v)
+		maxV = math.Max(maxV, v)
+	}
+	if ratio := maxV / minV; ratio < 8 || ratio > 32 {
+		t.Errorf("axis variance ratio = %.1f, want ~16", ratio)
+	}
+	// Zero knobs plant unit scales and uniform weights.
+	rng = randgen.New(7)
+	sph := NewPlantedMixture(rng, GMMConfig{D: 4, K: 3, Separation: 50})
+	for _, s := range sph.Sigma {
+		for _, v := range s {
+			if v != 1 {
+				t.Fatalf("zero-knob axis scale %v, want 1", v)
+			}
+		}
+	}
+	counts = make([]int, 3)
+	for _, l := range sph.Gen(rng, 5000).Labels {
+		counts[l]++
+	}
+	for _, c := range counts {
+		if c < 1200 || c > 2200 {
+			t.Errorf("uniform mixture counts: %v", counts)
+		}
+	}
+}
+
+// TestPlantedMixtureOpenMatchesGen checks that the stream and the
+// materialized form of a mixture yield the same points.
+func TestPlantedMixtureOpenMatchesGen(t *testing.T) {
+	mix := NewPlantedMixture(randgen.New(3), GMMConfig{D: 3, K: 4, CovCondition: 4, Imbalance: 1})
+	want := mix.Gen(randgen.New(4), 300).Points
+	next := mix.Open(randgen.New(4))
+	for i := range want {
+		if got := next(); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("point %d: stream %v, materialized %v", i, got, want[i])
+		}
+	}
+}
+
+// TestGenRegressionAR1 checks the design's lag-1 correlation and unit
+// marginal variance.
+func TestGenRegressionAR1(t *testing.T) {
+	const n, p, rho = 4000, 20, 0.7
+	rng := randgen.New(8)
+	beta := SparseBeta(rng, p, 3)
+	data := GenRegression(rng, beta, n, RegressionConfig{Rho: rho})
+	if len(data.X) != n || len(data.Y) != n {
+		t.Fatalf("sizes: %d, %d", len(data.X), len(data.Y))
+	}
+	var dot, vj, vk float64
+	for _, x := range data.X {
+		dot += x[10] * x[11]
+		vj += x[10] * x[10]
+		vk += x[11] * x[11]
+	}
+	if r := dot / math.Sqrt(vj*vk); math.Abs(r-rho) > 0.05 {
+		t.Errorf("lag-1 correlation = %.3f, want ~%v", r, rho)
+	}
+	if v := vj / n; v < 0.9 || v > 1.1 {
+		t.Errorf("marginal variance = %.3f, want ~1", v)
+	}
+	// Responses follow the planted truth.
+	var resid float64
+	for i, x := range data.X {
+		d := data.Y[i] - x.Dot(beta)
+		resid += d * d
+	}
+	if rv := resid / n; rv < 0.8 || rv > 1.2 {
+		t.Errorf("residual variance = %.3f, want ~1", rv)
 	}
 }
