@@ -1,11 +1,20 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"errors"
+	"reflect"
+	"testing"
+)
 
 // FuzzParseRunSpec drives arbitrary bytes through the whole spec intake
 // the CLI and the service share — ParseRunSpec, Normalize, Validate and,
 // for an accepted spec, CacheKey. Bad input must come back as an error,
-// never as a panic. The seeds run under plain `go test`; explore with
+// never as a panic, and every Validate error must match ErrInvalidSpec.
+// Normalize must be idempotent, and an accepted, normalized, valid spec
+// must survive a JSON round trip: marshalled and parsed back, it
+// normalizes to an equal value with the same CacheKey. The seeds run
+// under plain `go test`; explore with
 // `go test -run '^$' -fuzz '^FuzzParseRunSpec$' ./internal/bench`.
 func FuzzParseRunSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -33,12 +42,36 @@ func FuzzParseRunSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		s = s.Normalize()
-		if s.Validate() != nil {
+		if err := s.Validate(); err != nil && !errors.Is(err, ErrInvalidSpec) {
+			t.Fatalf("Validate error %q does not match ErrInvalidSpec", err)
+		}
+		n := s.Normalize()
+		if again := n.Normalize(); !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize not idempotent:\n once  %+v\n twice %+v", n, again)
+		}
+		if err := n.Validate(); err != nil {
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Fatalf("Validate error %q does not match ErrInvalidSpec", err)
+			}
 			return
 		}
-		if s.CacheKey() == "" {
-			t.Fatalf("accepted spec %+v has an empty cache key", s)
+		key := n.CacheKey()
+		if key == "" {
+			t.Fatalf("accepted spec %+v has an empty cache key", n)
+		}
+		raw, err := json.Marshal(n)
+		if err != nil {
+			t.Fatalf("marshalling a valid spec: %v", err)
+		}
+		back, err := ParseRunSpec(raw)
+		if err != nil {
+			t.Fatalf("parsing a marshalled valid spec %s: %v", raw, err)
+		}
+		if back = back.Normalize(); !reflect.DeepEqual(back, n) {
+			t.Fatalf("JSON round trip changed the spec:\n before %+v\n after  %+v\n json   %s", n, back, raw)
+		}
+		if k := back.CacheKey(); k != key {
+			t.Fatalf("JSON round trip changed the cache key %s -> %s (json %s)", key, k, raw)
 		}
 	})
 }

@@ -68,6 +68,58 @@ func TestAddGramMatchesAddOuterBits(t *testing.T) {
 	}
 }
 
+// signedZeroPoints draws count points of dimension n with exact zeros
+// and negative zeros planted as coefficients: every other point has +0
+// at each third coordinate, every third point -0 at coordinates 1 mod 4,
+// so a four-point group with a zero in it takes AddGram's one-at-a-time
+// fallback and both signs of zero hit its zero-skip.
+func signedZeroPoints(n, count int, seed int64) []Vec {
+	xs := gramPoints(n, count, seed)
+	for k, x := range xs {
+		for i := range x {
+			if k%3 == 1 && i%4 == 1 {
+				x[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return xs
+}
+
+// GramRow on a fresh row reproduces AddGram's lower-triangle entry (i, j),
+// its mirrored entry (j, i) and the AddOuter reference, and on a row already holding a block's
+// fold it reproduces AddGram chained onto that block, bit for bit, for
+// blocks of 0-9 points at dimensions that are not multiples of 4.
+func TestGramRowMatchesAddGram(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 13, 30, 67} {
+		for count := 0; count <= 9; count++ {
+			t.Run(fmt.Sprintf("n=%d/points=%d", n, count), func(t *testing.T) {
+				xs := signedZeroPoints(n, count, int64(100*n+count))
+				more := signedZeroPoints(n, 9-count, int64(31*n+count))
+				once, twice, ref := NewMat(n, n), NewMat(n, n), NewMat(n, n)
+				once.AddGram(xs)
+				addOuterGram(ref, xs)
+				twice.AddGram(xs).AddGram(more)
+				for i := 0; i < n; i++ {
+					row := make([]float64, i+1)
+					GramRow(row, xs, i)
+					for j, v := range row {
+						b := math.Float64bits(v)
+						if b != math.Float64bits(once.At(i, j)) || b != math.Float64bits(once.At(j, i)) || b != math.Float64bits(ref.At(i, j)) {
+							t.Fatalf("entry (%d,%d): GramRow %v, AddGram %v / %v, AddOuter %v", i, j, v, once.At(i, j), once.At(j, i), ref.At(i, j))
+						}
+					}
+					GramRow(row, more, i)
+					for j, v := range row {
+						if math.Float64bits(v) != math.Float64bits(twice.At(i, j)) {
+							t.Fatalf("chained entry (%d,%d): GramRow %v, AddGram %v", i, j, v, twice.At(i, j))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestAddGramWritesNothingWithoutContributions(t *testing.T) {
 	// An asymmetric m exposes any write: mirroring would overwrite the
 	// upper triangle with the lower.

@@ -233,41 +233,17 @@ func (m *Mat) AddOuter(scale float64, v, w Vec) *Mat {
 // to calling AddOuter(1, x, x) for each x in order — every entry still
 // receives its products one point at a time, in point order, and a zero
 // coefficient is skipped as AddOuter skips it — but it accumulates only
-// the lower triangle, four points per sweep of a row, and then mirrors
-// it. Entries no point touches are never written, so an empty block or a
-// block of all-zero points leaves m's memory untouched.
+// the lower triangle, one GramRow per row, and then mirrors it. Entries
+// no point touches are never written, so an empty block or a block of
+// all-zero points leaves m's memory untouched.
 func (m *Mat) AddGram(xs []Vec) *Mat {
 	n := m.Rows
 	checkLen(n, m.Cols)
 	for _, x := range xs {
 		checkLen(n, len(x))
 	}
-	k := 0
-	for ; k+4 <= len(xs); k += 4 {
-		x0, x1, x2, x3 := xs[k], xs[k+1], xs[k+2], xs[k+3]
-		for i := 0; i < n; i++ {
-			row := m.Data[i*n : i*n+i+1]
-			a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				for _, x := range xs[k : k+4] {
-					addScaled(row, x[i], x)
-				}
-				continue
-			}
-			y0, y1, y2, y3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-			for j, s := range row {
-				s += a0 * y0[j]
-				s += a1 * y1[j]
-				s += a2 * y2[j]
-				s += a3 * y3[j]
-				row[j] = s
-			}
-		}
-	}
-	for _, x := range xs[k:] {
-		for i := 0; i < n; i++ {
-			addScaled(m.Data[i*n:i*n+i+1], x[i], x)
-		}
+	for i := 0; i < n; i++ {
+		GramRow(m.Data[i*n:i*n+i+1], xs, i)
 	}
 	for i := 1; i < n; i++ {
 		if !anyNonzero(xs, i) {
@@ -278,6 +254,39 @@ func (m *Mat) AddGram(xs []Vec) *Mat {
 		}
 	}
 	return m
+}
+
+// GramRow sets dst = dst + sum_k xs[k][i] * xs[k][:len(dst)]: the first
+// len(dst) entries of row i of the Gram fold of xs, so a dst of length
+// i+1 is the row's lower-triangle part. It is the one copy of AddGram's
+// arithmetic: points go four per sweep of dst, a group holding a zero
+// coefficient falls back to one point at a time with that point skipped,
+// and the remainder follow one at a time. Every entry so receives the
+// same terms in the same order as the matching entry of AddGram, and
+// entry (i, j) the same as entry (j, i).
+func GramRow(dst []float64, xs []Vec, i int) {
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		x0, x1, x2, x3 := xs[k], xs[k+1], xs[k+2], xs[k+3]
+		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			for _, x := range xs[k : k+4] {
+				addScaled(dst, x[i], x)
+			}
+			continue
+		}
+		y0, y1, y2, y3 := x0[:len(dst)], x1[:len(dst)], x2[:len(dst)], x3[:len(dst)]
+		for j, s := range dst {
+			s += a0 * y0[j]
+			s += a1 * y1[j]
+			s += a2 * y2[j]
+			s += a3 * y3[j]
+			dst[j] = s
+		}
+	}
+	for _, x := range xs[k:] {
+		addScaled(dst, x[i], x)
+	}
 }
 
 // addScaled sets row = row + a*x[:len(row)], skipping a zero coefficient
@@ -329,6 +338,21 @@ func (m *Mat) Symmetrize() *Mat {
 			avg := (m.Data[r*n+c] + m.Data[c*n+r]) / 2
 			m.Data[r*n+c] = avg
 			m.Data[c*n+r] = avg
+		}
+	}
+	return m
+}
+
+// MirrorLower copies the strict lower triangle of a square m onto its
+// upper triangle and returns m. Panics if m is not square.
+func (m *Mat) MirrorLower() *Mat {
+	if m.Rows != m.Cols {
+		panic("linalg: MirrorLower of non-square matrix")
+	}
+	n := m.Rows
+	for i := 1; i < n; i++ {
+		for j, v := range m.Data[i*n : i*n+i] {
+			m.Data[j*n+i] = v
 		}
 	}
 	return m

@@ -1,6 +1,7 @@
 package perfgate
 
 import (
+	"runtime"
 	"testing"
 
 	"mlbench/internal/bsp"
@@ -10,6 +11,8 @@ import (
 	"mlbench/internal/randgen"
 	"mlbench/internal/relational"
 	"mlbench/internal/sim"
+	"mlbench/internal/tasks/lassotask"
+	"mlbench/internal/tasks/task"
 	"mlbench/internal/workload"
 )
 
@@ -89,6 +92,51 @@ func TestGramFoldAllocCeiling(t *testing.T) {
 	spec := gramFoldSpec()
 	if a := testing.AllocsPerRun(5, func() { _ = spec.Run(100) }); a != 0 {
 		t.Errorf("folding 100 observations cost %.0f allocs, ceiling 0", a)
+	}
+}
+
+// The Lasso Gram initialization sizes what a sender ships by its rows,
+// not by the model. At P=256 with 32 senders (4 machines × 8 cores, 2
+// rows each) the ceiling is the bytes of 4 P×P matrices (the receivers'
+// rows, the assembled matrix, their scratch) plus half a dense row (4P
+// bytes) for each of the P messages or pairs each sender ships: the
+// virtual clock pins their count, and the engines' bookkeeping for one
+// (staging, queue, meter record; combiner entry, index slot) is about
+// 200-330 B. That is 10 MiB; the initialization allocates about 3.4 MiB
+// on Giraph and 4.8 MiB on Spark (3.5 and 5.6 MiB under -race). With one
+// dense P×P partial per sender, twice the allowance, it allocated
+// 19.9 MiB and 35.6 MiB. The initialization is measured as a
+// one-iteration run less one iteration, the difference between a two-
+// and a one-iteration run.
+func TestLassoGramAllocCeiling(t *testing.T) {
+	const p, machines, cores = 256, 4, 8
+	runs := []struct {
+		name string
+		run  func(*sim.Cluster, lassotask.Config) (*task.Result, error)
+	}{
+		{"giraph-sv", lassotask.RunGiraph},
+		{"spark", lassotask.RunSpark},
+	}
+	for _, r := range runs {
+		bytes := func(iters int) int64 {
+			c := sim.DefaultConfig(machines)
+			c.Cores, c.Scale, c.HostWorkers = cores, 1000, 1
+			cfg := lassotask.Config{P: p, PointsPerMachine: 16_000, Iterations: iters, Seed: 3, SuperVertex: true}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := r.run(sim.New(c), cfg); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		one, two := bytes(1), bytes(2)
+		init := one - (two - one)
+		ceiling := int64(4*p*p*8 + machines*cores*p*4*p)
+		t.Logf("%s: initialization allocates %.2f MiB, ceiling %.2f MiB", r.name, float64(init)/(1<<20), float64(ceiling)/(1<<20))
+		if init >= ceiling {
+			t.Errorf("%s: Gram initialization allocates %d bytes, ceiling %d: senders are shipping dense partials", r.name, init, ceiling)
+		}
 	}
 }
 

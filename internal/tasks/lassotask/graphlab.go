@@ -174,18 +174,46 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	res := &task.Result{}
 	sw := task.NewStopwatch(cl)
 
-	g := gas.NewGraph(cl, nil)
+	rng := randgen.New(cfg.Seed ^ 0x91a7)
+	prog := &lassoProg{cfg: cfg, h: lasso.Hyper{Lambda: cfg.Lambda, P: cfg.P}, rng: rng, scale: cl.Scale()}
+	g, center, machineData, err := loadGraphLab(cl, cfg, rng)
 	if g.Clamped() {
 		res.Note("GraphLab booted on %d of %d machines", g.EffectiveMachines(), cl.NumMachines())
 	}
-	rng := randgen.New(cfg.Seed ^ 0x91a7)
-	prog := &lassoProg{cfg: cfg, h: lasso.Hyper{Lambda: cfg.Lambda, P: cfg.P}, rng: rng, scale: cl.Scale()}
+	if err != nil {
+		return res, err
+	}
+	acc, err := graphlabGram(g, cfg, machineData)
+	if err != nil {
+		return res, err
+	}
+	prog.xtx, prog.xty, prog.yBar, prog.n = acc.finish(cl.Scale())
+	res.InitSec = sw.Lap()
 
+	for iter := 0; iter < cfg.Iterations; iter++ {
+		if err := g.RunRound(prog, nil); err != nil {
+			return res, fmt.Errorf("lasso graphlab iter %d: %w", iter, err)
+		}
+		res.IterSecs = append(res.IterSecs, sw.Lap())
+		res.Record(chainPoint(cfg, center.state.Beta))
+	}
+	recordQuality(cfg, center.state.Beta, res)
+	return res, nil
+}
+
+// loadGraphLab builds and loads the Lasso graph: one data super vertex
+// per core, the P model vertices and the center. It returns each
+// booted machine's data, which the super vertices slice, and the graph
+// even when loading fails.
+func loadGraphLab(cl *sim.Cluster, cfg Config, rng *randgen.RNG) (*gas.Graph, *lassoCenter, []*workload.RegressionData, error) {
+	g := gas.NewGraph(cl, nil)
 	center := &lassoCenter{state: lasso.Init(cfg.P)}
 	var spokes []gas.VertexID
 	svPerMachine := cl.Config().Cores
-	for mc := 0; mc < g.EffectiveMachines(); mc++ {
+	machineData := make([]*workload.RegressionData, g.EffectiveMachines())
+	for mc := range machineData {
 		d := genMachineData(cl, cfg, mc)
+		machineData[mc] = d
 		for s := 0; s < svPerMachine; s++ {
 			lo, hi := s*len(d.X)/svPerMachine, (s+1)*len(d.X)/svPerMachine
 			if lo == hi {
@@ -208,61 +236,49 @@ func RunGraphLab(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	g.AddVertex(centerID, center, int64(8*(cfg.P+2)), false, 0)
 	g.SetEdges(&lassoEdges{spokes: spokes})
 	if err := g.Load(); err != nil {
-		return res, fmt.Errorf("lasso graphlab: load: %w", err)
+		return g, nil, nil, fmt.Errorf("lasso graphlab: load: %w", err)
 	}
+	return g, center, machineData, nil
+}
 
-	// Initialization: two map_reduce_vertices passes — Gram matrix /
-	// centered response, then X^T y (real dense math; one partial matrix
-	// per machine travels up the tree).
-	acc := localGramZero(cfg.P)
+// graphlabGram runs the initialization: two map_reduce_vertices passes —
+// Gram matrix / centered response, then X^T y — charged as local C++
+// matrix math with one partial matrix per machine up the tree. The
+// passes carry rows markers, not partials; the statistics are folded on
+// the driver, machine by machine through one scratch row.
+func graphlabGram(g *gas.Graph, cfg Config, machineData []*workload.RegressionData) (gramAcc, error) {
 	if _, err := g.MapReduceVertices(int64(8*cfg.P*cfg.P), func(m *sim.Meter, v *gas.Vertex) any {
 		if sv, ok := v.Data.(*lassoSV); ok {
 			m.ChargeBulk(float64(len(sv.d.X)) * lasso.GramFlops(cfg.P))
-			part := localGram(sv.d, cfg.P)
-			return &part
+			return sv.d
 		}
 		return nil
 	}, func(m *sim.Meter, a, b any) any {
-		ap, aok := a.(*gramPartial)
-		bp, bok := b.(*gramPartial)
 		switch {
-		case aok && bok:
+		case a != nil && b != nil:
 			m.ChargeBulkAbs(float64(cfg.P * cfg.P))
-			ap.merge(*bp)
-			return ap
-		case aok:
-			return ap
+			return a
+		case a != nil:
+			return a
 		default:
-			return bp
+			return b
 		}
 	}); err != nil {
-		return res, err
+		return gramAcc{}, err
 	}
-	// Accumulate for the task (the reduce above returned the merged
-	// partial; recompute deterministically for the driver-held state).
-	for mc := 0; mc < g.EffectiveMachines(); mc++ {
-		part := localGram(genMachineData(cl, cfg, mc), cfg.P)
-		acc.merge(part)
+	acc := newGram(cfg.P)
+	scratch := make([]float64, cfg.P)
+	for _, d := range machineData {
+		acc.add(d, scratch)
 	}
-	// Second pass: X^T y (already inside the partials; charge the pass).
+	// Second pass: X^T y (already folded above; charge the pass).
 	if _, err := g.MapReduceVertices(int64(8*cfg.P), func(m *sim.Meter, v *gas.Vertex) any {
 		if sv, ok := v.Data.(*lassoSV); ok {
 			m.ChargeBulk(float64(len(sv.d.X)) * 2 * float64(cfg.P))
 		}
 		return nil
 	}, func(m *sim.Meter, a, b any) any { return nil }); err != nil {
-		return res, err
+		return gramAcc{}, err
 	}
-	prog.xtx, prog.xty, prog.yBar, prog.n = acc.finish(cl.Scale())
-	res.InitSec = sw.Lap()
-
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		if err := g.RunRound(prog, nil); err != nil {
-			return res, fmt.Errorf("lasso graphlab iter %d: %w", iter, err)
-		}
-		res.IterSecs = append(res.IterSecs, sw.Lap())
-		res.Record(chainPoint(cfg, center.state.Beta))
-	}
-	recordQuality(cfg, center.state.Beta, res)
-	return res, nil
+	return acc, nil
 }

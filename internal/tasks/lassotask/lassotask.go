@@ -62,50 +62,83 @@ func genMachineData(cl *sim.Cluster, cfg Config, machine int) *workload.Regressi
 	return task.NewData(cl, cfg.Seed, cfg.Dataset, cfg.PointsPerMachine).Regression(machine, trueBeta(cfg))
 }
 
-// gramPartial is one machine's dense contribution to the initialization
-// statistics.
-type gramPartial struct {
-	xtx    *linalg.Mat
+// moments is a sender's contribution to X^T y, the column sums of X and
+// the response moments.
+type moments struct {
 	xty    linalg.Vec
 	colSum linalg.Vec
 	ySum   float64
 	n      float64
 }
 
-// localGram computes a machine's contributions to X^T X, X^T y, the
-// column sums of X and the response moments (real math; callers charge
-// the virtual cost).
-func localGram(d *workload.RegressionData, p int) gramPartial {
-	g := gramPartial{xtx: linalg.NewMat(p, p), xty: linalg.NewVec(p), colSum: linalg.NewVec(p)}
-	g.xtx.AddGram(d.X)
+// localMoments computes a sender's moments, summed from zero (real
+// math; callers charge the virtual cost).
+func localMoments(d *workload.RegressionData, p int) moments {
+	mo := moments{xty: linalg.NewVec(p), colSum: linalg.NewVec(p)}
 	for i, x := range d.X {
 		for j := range x {
-			g.xty[j] += x[j] * d.Y[i]
-			g.colSum[j] += x[j]
+			mo.xty[j] += x[j] * d.Y[i]
+			mo.colSum[j] += x[j]
 		}
-		g.ySum += d.Y[i]
+		mo.ySum += d.Y[i]
 	}
-	g.n = float64(len(d.X))
-	return g
+	mo.n = float64(len(d.X))
+	return mo
 }
 
-func (g *gramPartial) merge(o gramPartial) {
-	g.xtx.AddInPlace(o.xtx)
-	o.xty.AddTo(g.xty)
-	o.colSum.AddTo(g.colSum)
-	g.ySum += o.ySum
-	g.n += o.n
+func (a *moments) merge(b moments) {
+	b.xty.AddTo(a.xty)
+	b.colSum.AddTo(a.colSum)
+	a.ySum += b.ySum
+	a.n += b.n
 }
 
-// finish scales the partials to paper scale and centers X^T y:
+// gramAcc accumulates the initialization statistics. A sender's Gram
+// contribution is its rows, not a dense P×P partial: the receiver
+// expands each sender's lower row j into a scratch row summed from zero,
+// exactly as the sender's dense partial would have summed it, and adds
+// that row to its own. xtx holds only the lower triangle until finish
+// mirrors it (DESIGN.md §6, "Lasso Gram fold").
+type gramAcc struct {
+	xtx *linalg.Mat
+	moments
+}
+
+// newGram returns an empty accumulator.
+func newGram(p int) gramAcc {
+	return gramAcc{xtx: linalg.NewMat(p, p), moments: moments{xty: linalg.NewVec(p), colSum: linalg.NewVec(p)}}
+}
+
+// add folds one sender's rows and moments into g; scratch holds at
+// least P entries.
+func (g *gramAcc) add(d *workload.RegressionData, scratch []float64) {
+	for j := 0; j < g.xtx.Rows; j++ {
+		foldGramRow(g.xtx.Row(j)[:j+1], d.X, j, scratch)
+	}
+	g.merge(localMoments(d, g.xtx.Rows))
+}
+
+// foldGramRow adds the sender rows xs's lower row j, len(dst) = j+1
+// entries, to dst through scratch.
+func foldGramRow(dst []float64, xs []linalg.Vec, j int, scratch []float64) {
+	s := scratch[:len(dst)]
+	clear(s)
+	linalg.GramRow(s, xs, j)
+	for i, v := range s {
+		dst[i] += v
+	}
+}
+
+// finish mirrors the folded lower triangle, scales the statistics to
+// paper scale and centers X^T y:
 // X^T (y - ybar) = X^T y - ybar * colsums(X).
-func (g *gramPartial) finish(scale float64) (xtx *linalg.Mat, xty linalg.Vec, yBar float64, n float64) {
+func (g *gramAcc) finish(scale float64) (xtx *linalg.Mat, xty linalg.Vec, yBar float64, n float64) {
 	yBar = g.ySum / g.n
 	xty = g.xty.Clone()
 	for j := range xty {
 		xty[j] -= yBar * g.colSum[j]
 	}
-	g.xtx.ScaleInPlace(scale)
+	g.xtx.MirrorLower().ScaleInPlace(scale)
 	xty.ScaleInPlace(scale)
 	return g.xtx, xty, yBar, g.n * scale
 }

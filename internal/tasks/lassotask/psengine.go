@@ -45,7 +45,7 @@ func RunPS(cl *sim.Cluster, cfg Config, psCfg psengine.Config) (*task.Result, er
 
 	// Gram initialization: one reduce. The merge visits machines in order
 	// and accumulates their points one by one into a single partial.
-	g := localGramZero(cfg.P)
+	g := newGram(cfg.P)
 	gramBytes := float64(8 * cfg.P * (cfg.P + 2))
 	err = eng.Reduce("lasso-ps-gram",
 		func(w int, m *sim.Meter) error {

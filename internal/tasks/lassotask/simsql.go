@@ -85,33 +85,9 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 		}
 	}
 
-	// Materialized view 1: the Gram matrix. One MR job whose mapper
-	// expands every point into P^2 partial products folded by the
-	// combiner (one group per Gram entry). The real arithmetic runs
-	// densely; the virtual cost is charged for the full paper-scale
-	// expansion.
-	g := localGramZero(cfg.P)
-	gramParts := make([]gramPartial, machines)
-	cl.Advance(cost.MRJobLaunch)
-	err := cl.RunPhaseFM("gram-groupby", func(machine int, m *sim.Meter) error {
-		m.SetProfile(sim.ProfileSQLEngine)
-		d := machineData[machine]
-		// Input scan of the per-dim relation plus the combiner loop over
-		// N x P^2 generated rows.
-		m.ChargeTuples(len(d.X) * cfg.P)
-		m.ChargeSec(float64(len(d.X)) * float64(cfg.P) * float64(cfg.P) * cl.Scale() * cost.SQLCombineSec)
-		gramParts[machine] = localGram(d, cfg.P)
-		// One combined partial per Gram entry ships to its reducer.
-		m.SendModel((machine+1)%machines, float64(cfg.P*cfg.P*24))
-		return nil
-	}, func(machine int, m *sim.Meter) error {
-		// Fold into the shared accumulator at the barrier, in machine
-		// order, so the float summation order is worker-count-independent.
-		g.merge(gramParts[machine])
-		return nil
-	})
+	g, err := simsqlGram(cl, cfg, machineData)
 	if err != nil {
-		return res, fmt.Errorf("lasso simsql: gram: %w", err)
+		return res, err
 	}
 	// Views 2 and 3: centered response and X^T y (two cheaper jobs over
 	// the per-dim relation).
@@ -207,4 +183,37 @@ func RunSimSQL(cl *sim.Cluster, cfg Config) (*task.Result, error) {
 	}
 	recordQuality(cfg, state.Beta, res)
 	return res, nil
+}
+
+// simsqlGram runs materialized view 1, the Gram matrix: one MR job whose
+// mapper expands every point into P^2 partial products folded by the
+// combiner (one group per Gram entry). The virtual cost is charged for
+// the full paper-scale expansion; the real arithmetic expands each
+// machine's rows at the barrier.
+func simsqlGram(cl *sim.Cluster, cfg Config, machineData []*workload.RegressionData) (gramAcc, error) {
+	machines := cl.NumMachines()
+	cost := cl.Config().Cost
+	g := newGram(cfg.P)
+	scratch := make([]float64, cfg.P)
+	cl.Advance(cost.MRJobLaunch)
+	err := cl.RunPhaseFM("gram-groupby", func(machine int, m *sim.Meter) error {
+		m.SetProfile(sim.ProfileSQLEngine)
+		d := machineData[machine]
+		// Input scan of the per-dim relation plus the combiner loop over
+		// N x P^2 generated rows.
+		m.ChargeTuples(len(d.X) * cfg.P)
+		m.ChargeSec(float64(len(d.X)) * float64(cfg.P) * float64(cfg.P) * cl.Scale() * cost.SQLCombineSec)
+		// One combined partial per Gram entry ships to its reducer.
+		m.SendModel((machine+1)%machines, float64(cfg.P*cfg.P*24))
+		return nil
+	}, func(machine int, m *sim.Meter) error {
+		// Fold into the shared accumulator at the barrier, in machine
+		// order, so the float summation order is worker-count-independent.
+		g.add(machineData[machine], scratch)
+		return nil
+	})
+	if err != nil {
+		return gramAcc{}, fmt.Errorf("lasso simsql: gram: %w", err)
+	}
+	return g, nil
 }
